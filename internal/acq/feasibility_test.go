@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/surrogate"
+	"repro/internal/testutil"
 )
 
 // linPoF is a smooth analytic feasibility model: PoF(x) = 1/(1+Σxᵢ²),
@@ -103,5 +104,25 @@ func TestPoFProduct(t *testing.T) {
 	}
 	if got := PoFProduct(p, flat, 3, 1); math.Abs(got-want) > 1e-15 {
 		t.Fatalf("PoFProduct = %v, want %v", got, want)
+	}
+}
+
+// TestFeasibilityWeightedAllocs pins the weighted criterion's gradient at
+// zero steady-state allocations: it runs in the innermost loop of every
+// L-BFGS-B restart, and both its own scratch and the base criterion's
+// come from pools.
+func TestFeasibilityWeightedAllocs(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are perturbed under -race")
+	}
+	g := fit1D(t, 0, 0.3, 0.7, 1)
+	w := &FeasibilityWeighted{Base: &EI{Best: bestMin(g), Minimize: true}, Model: linPoF{}}
+	x := []float64{0.42}
+	grad := make([]float64, 1)
+	w.EvalWithGrad(g, x, grad) // warm the pools
+	if got := testing.AllocsPerRun(200, func() {
+		w.EvalWithGrad(g, x, grad)
+	}); got > 0 {
+		t.Fatalf("FeasibilityWeighted.EvalWithGrad allocates %v times per call, want 0", got)
 	}
 }

@@ -71,10 +71,19 @@ func excess(v, bound float64, above bool) float64 {
 }
 
 // evalRec caches one horizon simulation: the total profit and the
-// aggregate constraint violation of the decision vector.
+// aggregate constraint violation of the decision vector, plus the first
+// day's own outcome, which is what a rolling-horizon commit realizes.
 type evalRec struct {
 	profit    float64
 	violation float64
+	day0      dayOutcome
+}
+
+// dayOutcome is one SimulateDay result.
+type dayOutcome struct {
+	b   uphes.Breakdown
+	end uphes.PlantState
+	dm  uphes.DayMetrics
 }
 
 // Constrained is the horizon objective of one (member, day) cell: it
@@ -129,6 +138,9 @@ func (c *Constrained) run(x []float64) evalRec {
 	var rec evalRec
 	for i := 0; i < h; i++ {
 		b, next, dm := c.Sim.SimulateDay(x[i*uphes.Dim:(i+1)*uphes.Dim], state, &c.Inputs[i])
+		if i == 0 {
+			rec.day0 = dayOutcome{b: b, end: next, dm: dm}
+		}
 		rec.profit += b.Profit
 		rec.violation += c.dayViolation(&dm)
 		state = next
@@ -175,4 +187,12 @@ func (c *Constrained) Violation(x []float64) float64 {
 // Feasible reports whether x satisfies every constraint.
 func (c *Constrained) Feasible(x []float64) bool {
 	return fp.Zero(c.run(x).violation)
+}
+
+// firstDay returns SimulateDay of x's first day from Start under the
+// first day's inputs: the day a rolling-horizon commit realizes. For an
+// evaluated point it is a cache lookup.
+func (c *Constrained) firstDay(x []float64) (uphes.Breakdown, uphes.PlantState, uphes.DayMetrics) {
+	d := c.run(x).day0
+	return d.b, d.end, d.dm
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/acq"
 	"repro/internal/core"
@@ -168,12 +169,26 @@ func (p *pofModel) PoF(x []float64) float64 {
 	return rng.NormCDF(-mu / sd)
 }
 
+// pofScratch holds the violation GP's posterior-gradient buffers.
+// PoFWithGrad runs in the innermost loop of every parallel L-BFGS-B
+// restart, so the buffers are pooled rather than allocated per call or
+// stored on the shared model.
+type pofScratch struct {
+	dMu, dSD []float64
+}
+
+var pofScratchPool = sync.Pool{New: func() any { return new(pofScratch) }}
+
 // PoFWithGrad implements acq.FeasibilityModel:
 // ∇Φ(z) = φ(z)·∇z with z = −μ/σ and ∇z = (−∇μ·σ + μ·∇σ)/σ².
 func (p *pofModel) PoFWithGrad(x, grad []float64) float64 {
 	d := len(x)
-	dMu := make([]float64, d)
-	dSD := make([]float64, d)
+	s := pofScratchPool.Get().(*pofScratch)
+	if cap(s.dMu) < d {
+		s.dMu = make([]float64, d)
+		s.dSD = make([]float64, d)
+	}
+	dMu, dSD := s.dMu[:d], s.dSD[:d]
 	mu, sd := p.g.PredictWithGrad(x, dMu, dSD)
 	if sd < pofSDFloor {
 		sd = pofSDFloor
@@ -184,6 +199,7 @@ func (p *pofModel) PoFWithGrad(x, grad []float64) float64 {
 	for j := 0; j < d; j++ {
 		grad[j] = pdf * (-dMu[j]*sd + mu*dSD[j]) * inv2
 	}
+	pofScratchPool.Put(s)
 	return rng.NormCDF(z)
 }
 

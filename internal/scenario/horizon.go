@@ -36,6 +36,9 @@ type DaySpec struct {
 	// SimLatencyNS is the simulated per-evaluation latency (default
 	// 10s).
 	SimLatencyNS time.Duration `json:"sim_latency_ns,omitempty"`
+
+	// cell is the problem the last Build assembled (see Build).
+	cell *dayCell
 }
 
 func (s *DaySpec) validate() error {
@@ -56,31 +59,28 @@ func (s *DaySpec) ProblemName() string {
 
 // Build assembles the cell's optimization problem: the horizon-tiled
 // decision box over the constrained evaluator. The returned Constrained
-// is the same instance the problem evaluates through, so its violation
+// is the same instance the problem evaluates through, so its evaluation
 // cache is shared with the model factory.
+//
+// The cell is built once per *DaySpec: a later Build on the same spec,
+// with its fields unchanged, returns a fresh Problem over the same
+// Constrained. That is how a rolling-horizon commit (RunMember) reuses
+// the evaluations its DayRunner made through Engine, instead of
+// re-simulating them. A copy of a spec, or a spec whose fields changed
+// since its last Build, builds a cell of its own. Build is not safe for
+// concurrent use on one *DaySpec.
 func (s *DaySpec) Build() (*core.Problem, *Constrained, error) {
-	if err := s.validate(); err != nil {
-		return nil, nil, err
+	key := *s
+	key.cell = nil
+	if c := s.cell; c == nil || c.owner != s || c.spec != key {
+		cons, err := key.newConstrained()
+		if err != nil {
+			return nil, nil, err
+		}
+		s.cell = &dayCell{owner: s, spec: key, cons: cons}
 	}
-	base := uphes.DefaultConfig()
-	base.Seed = s.Gen.Seed
-	sim, err := uphes.New(base)
-	if err != nil {
-		return nil, nil, err
-	}
-	gen := NewGenerator(base, s.Gen)
-	latency := s.SimLatencyNS
-	if latency <= 0 {
-		latency = 10 * time.Second
-	}
-	cons := &Constrained{
-		Sim:     sim,
-		Inputs:  gen.Days(s.Member, s.Day, s.Horizon),
-		Start:   s.Start,
-		Cons:    s.Cons.withDefaults(),
-		Latency: latency,
-	}
-	dayLo, dayHi := sim.Bounds()
+	cons := s.cell.cons
+	dayLo, dayHi := cons.Sim.Bounds()
 	lo := make([]float64, 0, s.Horizon*uphes.Dim)
 	hi := make([]float64, 0, s.Horizon*uphes.Dim)
 	for i := 0; i < s.Horizon; i++ {
@@ -95,6 +95,39 @@ func (s *DaySpec) Build() (*core.Problem, *Constrained, error) {
 		Evaluator: cons,
 	}
 	return prob, cons, nil
+}
+
+// dayCell is the Constrained a DaySpec built, with the spec fields it was
+// built from and the spec it belongs to.
+type dayCell struct {
+	owner *DaySpec
+	spec  DaySpec
+	cons  *Constrained
+}
+
+// newConstrained builds the cell's horizon evaluator.
+func (s *DaySpec) newConstrained() (*Constrained, error) {
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	base := uphes.DefaultConfig()
+	base.Seed = s.Gen.Seed
+	sim, err := uphes.New(base)
+	if err != nil {
+		return nil, err
+	}
+	gen := NewGenerator(base, s.Gen)
+	latency := s.SimLatencyNS
+	if latency <= 0 {
+		latency = 10 * time.Second
+	}
+	return &Constrained{
+		Sim:     sim,
+		Inputs:  gen.Days(s.Member, s.Day, s.Horizon),
+		Start:   s.Start,
+		Cons:    s.Cons.withDefaults(),
+		Latency: latency,
+	}, nil
 }
 
 // OptConfig is the per-day engine configuration shared by every cell of
@@ -264,9 +297,10 @@ type MemberResult struct {
 
 // commitDay selects the schedule to commit from a finished day run: the
 // best-profit evaluated horizon point that satisfies every constraint,
-// or the idle (all-zero) schedule when none does. Violations are
-// recomputed deterministically from the spec, so the selection is
-// identical whether the run happened in-process or behind a server.
+// or the idle (all-zero) schedule when none does. Violations come from
+// the cell's evaluation cache, or are recomputed deterministically from
+// the spec for points it has not seen, so the selection is identical
+// whether the run happened in-process or behind a server.
 func commitDay(cons *Constrained, res *core.Result, horizon int) (x []float64, bestY float64, fallback bool) {
 	bestIdx := -1
 	for i, xi := range res.X {
@@ -311,15 +345,16 @@ func RunMember(ctx context.Context, r DayRunner, gen GenConfig, cons ConstraintC
 		if err != nil {
 			return nil, fmt.Errorf("scenario: member %d day %d: %w", member, day, err)
 		}
-		// Rebuild the cell locally (cheap and deterministic) to judge
-		// feasibility of the returned trace and to realize the committed
-		// day.
+		// The cell the runner evaluated through (rebuilt when the runner
+		// did not build it from this spec) judges the feasibility of the
+		// returned trace and realizes the committed day, both from its
+		// evaluation cache.
 		_, dayCons, err := spec.Build()
 		if err != nil {
 			return nil, err
 		}
 		x, bestY, fallback := commitDay(dayCons, res, horizon)
-		b, next, dm := dayCons.Sim.SimulateDay(x[:uphes.Dim], state, &dayCons.Inputs[0])
+		b, next, dm := dayCons.firstDay(x)
 		vio := dayCons.dayViolation(&dm)
 		rec := DayRecord{
 			Day:          day,

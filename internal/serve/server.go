@@ -465,10 +465,36 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error()})
 }
 
+// Request body caps. Session specs and tells are small JSON documents;
+// an import bundle carries a base64 snapshot frame, which grows with the
+// session's history (a v3 frame at n = 1024 is about 362 KB, 0.5 MB as
+// base64), so its cap leaves room for runs some sixty times longer.
+const (
+	maxSpecBody   = 1 << 20
+	maxTellBody   = 1 << 20
+	maxImportBody = 32 << 20
+)
+
+// decodeBody decodes the JSON request body into v, reading at most limit
+// bytes. On failure it writes the error response — 413 when the body is
+// over the limit, 400 when it does not decode — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, code, fmt.Errorf("bad %s: %w", what, err))
+	return false
+}
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var spec SessionSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad spec: %w", err))
+	if !decodeBody(w, r, maxSpecBody, "spec", &spec) {
 		return
 	}
 	sess, err := s.Create(spec)
@@ -557,8 +583,7 @@ func (s *Server) handleAskWait(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTell(w http.ResponseWriter, r *http.Request) {
 	s.withSession(w, r, func(e *entry) {
 		var req TellRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad tell: %w", err))
+		if !decodeBody(w, r, maxTellBody, "tell", &req) {
 			return
 		}
 		if err := e.sess.Tell(r.Context(), req.Results); err != nil {
@@ -650,8 +675,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 	var bundle ExportBundle
-	if err := json.NewDecoder(r.Body).Decode(&bundle); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad bundle: %w", err))
+	if !decodeBody(w, r, maxImportBody, "bundle", &bundle) {
 		return
 	}
 	sess, err := s.Import(bundle)

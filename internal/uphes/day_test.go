@@ -135,7 +135,7 @@ func TestSimulateDayMatchesMonteCarloPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := sim.scenarios[0]
+	sc := sim.monteCarlo()[0]
 	in := &DayInput{Price: sc.price, Inflow: sc.inflow, Activated: sc.activated}
 	x := []float64{-5, 3, 0, 6, -2, 4, 1, -6, 2, 1, 0, 3}
 

@@ -16,6 +16,31 @@ type Plant struct {
 	cfg *PlantConfig
 	// upperV and lowerV are the current stored volumes [m³].
 	upperV, lowerV float64
+	// hyd caches the head-dependent quantities of the current volumes.
+	hyd hydraulics
+}
+
+// hydraulics caches the head-dependent quantities of one reservoir
+// state. A simulation step asks for the lower level, the head and the
+// similarity-law scale (h/h_nom)^1.5 a couple of dozen times between
+// volume changes; each is a pure function of the volumes, so computing
+// it once per distinct state and reusing it is bit-identical to
+// recomputing it. Entries are keyed on the exact bit patterns of the
+// volumes they were computed from, so any volume change — through a
+// move, an exchange or SetState — misses the cache.
+type hydraulics struct {
+	lowerOK    bool
+	lowerKey   uint64 // bits of lowerV
+	lowerLevel float64
+
+	headOK             bool
+	headKeyU, headKeyL uint64 // bits of upperV and lowerV
+	head               float64
+
+	// scale is (head/HeadNominal)^1.5, valid while scaleOK; it is
+	// cleared whenever head is recomputed.
+	scaleOK bool
+	scale   float64
 }
 
 // NewPlant returns a plant at the configured initial fill.
@@ -80,16 +105,27 @@ func (p *Plant) upperLevel() float64 {
 // lowerLevel returns the underground water surface elevation [m]. The pit
 // narrows toward the bottom: level rises steeply when nearly empty.
 func (p *Plant) lowerLevel() float64 {
-	frac := p.lowerV / p.cfg.LowerVolumeMax
-	if frac < 0 {
-		frac = 0
+	k := math.Float64bits(p.lowerV)
+	if !p.hyd.lowerOK || p.hyd.lowerKey != k {
+		frac := p.lowerV / p.cfg.LowerVolumeMax
+		if frac < 0 {
+			frac = 0
+		}
+		p.hyd.lowerLevel = p.cfg.LowerBase + p.cfg.LowerDepth*math.Pow(frac, p.cfg.LowerShape)
+		p.hyd.lowerKey, p.hyd.lowerOK = k, true
 	}
-	return p.cfg.LowerBase + p.cfg.LowerDepth*math.Pow(frac, p.cfg.LowerShape)
+	return p.hyd.lowerLevel
 }
 
 // head returns the net hydraulic head [m] between the two surfaces.
 func (p *Plant) head() float64 {
-	return p.upperLevel() - p.lowerLevel()
+	ku, kl := math.Float64bits(p.upperV), math.Float64bits(p.lowerV)
+	if !p.hyd.headOK || p.hyd.headKeyU != ku || p.hyd.headKeyL != kl {
+		p.hyd.head = p.upperLevel() - p.lowerLevel()
+		p.hyd.headKeyU, p.hyd.headKeyL, p.hyd.headOK = ku, kl, true
+		p.hyd.scaleOK = false
+	}
+	return p.hyd.head
 }
 
 // headSafe reports whether the head lies in the safe operating range.
@@ -101,19 +137,30 @@ func (p *Plant) headSafe() bool {
 // headRatio is h/h_nom, the scaling of head-dependent quantities.
 func (p *Plant) headRatio() float64 { return p.head() / p.cfg.HeadNominal }
 
+// headScale is (h/h_nom)^1.5, the similarity-law factor every power
+// limit scales with, computed once per reservoir state.
+func (p *Plant) headScale() float64 {
+	r := p.headRatio() // refreshes the head entry, clearing scale on a new state
+	if !p.hyd.scaleOK {
+		p.hyd.scale = math.Pow(r, 1.5)
+		p.hyd.scaleOK = true
+	}
+	return p.hyd.scale
+}
+
 // pumpRange returns the feasible pump power range [MW] at the current
 // head. Higher head demands more power to move water: the range shifts up
 // with head (limits scale with h/h_nom to the 1.5 power, the usual
 // similarity law for variable-speed machines).
 func (p *Plant) pumpRange() (lo, hi float64) {
-	s := math.Pow(p.headRatio(), 1.5)
+	s := p.headScale()
 	return p.cfg.PumpMinMW * s, p.cfg.PumpMaxMW * s
 }
 
 // turbineRange returns the feasible turbine power range [MW] at the
 // current head. Low head restricts the maximum output sharply.
 func (p *Plant) turbineRange() (lo, hi float64) {
-	s := math.Pow(p.headRatio(), 1.5)
+	s := p.headScale()
 	return p.cfg.TurbineMinMW * s, p.cfg.TurbineMaxMW * s
 }
 
@@ -121,7 +168,7 @@ func (p *Plant) turbineRange() (lo, hi float64) {
 // head (vibration zone, scaled with head). Operation inside the band is
 // unsafe and penalized.
 func (p *Plant) cavitationZone() (lo, hi float64) {
-	s := math.Pow(p.headRatio(), 1.5)
+	s := p.headScale()
 	return p.cfg.CavitationLow * s, p.cfg.CavitationHigh * s
 }
 

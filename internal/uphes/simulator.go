@@ -3,6 +3,7 @@ package uphes
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 )
 
@@ -10,9 +11,14 @@ import (
 // 12-dimensional decision vector to the expected daily profit [EUR]. It is
 // safe for concurrent use; each evaluation simulates its own plant copies.
 type Simulator struct {
-	cfg       Config
+	cfg    Config
+	lo, hi []float64
+
+	// The Monte-Carlo scenario set is built on the first expected-profit
+	// evaluation: the scenario engine simulates only explicit days
+	// (SimulateDay) and never reads it.
+	mcOnce    sync.Once
 	scenarios []scenario
-	lo, hi    []float64
 }
 
 // New builds a simulator from the configuration.
@@ -23,9 +29,16 @@ func New(cfg Config) (*Simulator, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &Simulator{cfg: cfg, scenarios: makeScenarios(&cfg)}
+	s := &Simulator{cfg: cfg}
 	s.lo, s.hi = cfg.Bounds()
 	return s, nil
+}
+
+// monteCarlo returns the common-random-number scenario set, building it
+// on first use.
+func (s *Simulator) monteCarlo() []scenario {
+	s.mcOnce.Do(func() { s.scenarios = makeScenarios(&s.cfg) })
+	return s.scenarios
 }
 
 // Config returns the simulator configuration.
@@ -74,9 +87,10 @@ func (s *Simulator) Detail(x []float64) *Breakdown {
 	if len(x) != Dim {
 		panic(fmt.Sprintf("uphes: decision vector length %d, want %d", len(x), Dim))
 	}
+	scs := s.monteCarlo()
 	var agg Breakdown
-	for i := range s.scenarios {
-		b := s.simulate(x, &s.scenarios[i])
+	for i := range scs {
+		b := s.simulate(x, &scs[i])
 		agg.EnergyRevenue += b.EnergyRevenue
 		agg.ReserveRevenue += b.ReserveRevenue
 		agg.StoredValue += b.StoredValue
@@ -84,7 +98,7 @@ func (s *Simulator) Detail(x []float64) *Breakdown {
 		agg.ReservePenalty += b.ReservePenalty
 		agg.CavitationPenalty += b.CavitationPenalty
 	}
-	n := float64(len(s.scenarios))
+	n := float64(len(scs))
 	agg.EnergyRevenue /= n
 	agg.ReserveRevenue /= n
 	agg.StoredValue /= n

@@ -19,7 +19,8 @@
 #              the batch-synchronous vs asynchronous protocols on a
 #              heterogeneous-latency workload -> BENCH_async.json
 #   scenario — rolling-horizon fleet throughput (days-per-minute of wall
-#              time) serial vs member-parallel -> BENCH_scenario.json
+#              time) serial vs member-parallel, and the simulator's
+#              per-day cost (uphes.SimulateDay) -> BENCH_scenario.json
 #
 # Usage:
 #   ./scripts/bench.sh             # full-accuracy run -> all JSON files
@@ -34,7 +35,7 @@
 #                      because one LML evaluation at n=1024 runs ~0.5 s)
 #   BENCHTIME_ASYNC    async -benchtime value (default 2s; each iteration
 #                      is one full budget-bounded engine run)
-#   BENCHTIME_SCENARIO scenario -benchtime value (default 2s; each
+#   BENCHTIME_SCENARIO scenario -benchtime value (default 2s; each fleet
 #                      iteration is one full in-process fleet run)
 #   OUT                hotpath JSON path (default BENCH_hotpath.json)
 #   OUT_LINALG         linalg JSON path (default BENCH_linalg.json)
@@ -61,7 +62,8 @@
 #     (members are independent sessions, so parallelism is pure speedup;
 #     10% slack absorbs scheduler noise). At GOMAXPROCS = 1 the floor is
 #     skipped — both runs share one core — but both benchmarks must still
-#     run and report the metric.
+#     run and report the metric. BenchmarkSimulateDay must run and stay
+#     at 0 allocs/op (the plant lives on the stack).
 #   - fit floors: the banded parallel fit path must not exceed 1.10× the
 #     forced-serial path at the same n (bit-identity makes the branches
 #     interchangeable, so parallel dispatch may never cost more than it
@@ -123,9 +125,12 @@ go test -run '^$' -bench 'VirtualThroughput$' \
     -benchmem -benchtime "$BENCHTIME_ASYNC" ./internal/core/ >"$rawasync"
 
 # The scenario suite: full in-process rolling-horizon fleet runs, serial
-# vs member-parallel, reporting days-per-minute of wall time.
+# vs member-parallel, reporting days-per-minute of wall time, plus the
+# cost of the one realized day every fleet evaluation simulates.
 go test -run '^$' -bench 'FleetSerial$|FleetParallel$' \
     -benchmem -benchtime "$BENCHTIME_SCENARIO" ./internal/scenario/ >"$rawscen"
+go test -run '^$' -bench 'SimulateDay$' \
+    -benchmem -benchtime "$BENCHTIME_SCENARIO" ./internal/uphes/ >>"$rawscen"
 
 tojson() {
     awk '
@@ -316,6 +321,15 @@ if [ "$CHECK" = "1" ]; then
                 fail=1
             fi
         fi
+    fi
+
+    simallocs=$(awk '$1 ~ "^BenchmarkSimulateDay(-[0-9]+)?$" { for (i=2;i<=NF;i++) if ($(i+1)=="allocs/op") print $i }' "$rawscen")
+    if [ -z "$simallocs" ]; then
+        echo "bench.sh: FAIL: BenchmarkSimulateDay did not run in the scenario suite" >&2
+        fail=1
+    elif [ "$simallocs" -gt 0 ]; then
+        echo "bench.sh: FAIL: SimulateDay allocates $simallocs/op, budget 0" >&2
+        fail=1
     fi
 
     if [ "$fail" = "1" ]; then

@@ -98,7 +98,7 @@ go test -race \
     -count 1 ./internal/core/ ./internal/strategy/ ./internal/session/ ./internal/serve/ ./internal/scenario/ ./cmd/pboserver/
 
 echo "== alloc-regression tests (no race detector)"
-go test -run 'Alloc' ./internal/mat/ ./internal/kernel/ ./internal/gp/
+go test -run 'Alloc' ./internal/mat/ ./internal/kernel/ ./internal/gp/ ./internal/acq/ ./internal/scenario/
 
 echo "== benchmarks compile and run once"
 go test -run '^$' -bench . -benchtime 1x ./...
