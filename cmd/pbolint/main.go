@@ -11,6 +11,7 @@
 //	pooldiscipline  sync.Pool values are Put on every path, never escape
 //	locksafe        no guarded pointer leaves its critical section alive
 //	detorder        no map-order, wall-clock or rng-in-parallel dependence
+//	unusedexport    no export under internal/ without a non-test or cross-package consumer
 //
 // Usage:
 //

@@ -32,8 +32,8 @@ func TestCLIOverFixtures(t *testing.T) {
 	got := splitLines(stdout.String())
 	var want []string
 	goldens, err := filepath.Glob(filepath.Join(fixtureRoot, "*.golden"))
-	if err != nil || len(goldens) != 9 {
-		t.Fatalf("found %d golden files (err %v), want 9", len(goldens), err)
+	if err != nil || len(goldens) != 10 {
+		t.Fatalf("found %d golden files (err %v), want 10", len(goldens), err)
 	}
 	for _, g := range goldens {
 		data, err := os.ReadFile(g)

@@ -12,7 +12,6 @@ package acq
 import (
 	"fmt"
 
-	"repro/internal/mat"
 	"repro/internal/rng"
 	"repro/internal/surrogate"
 )
@@ -240,12 +239,6 @@ func NewQEI(q, samples int, best float64, minimize bool, stream *rng.Stream) *QE
 	}
 }
 
-// Q returns the batch size the criterion was built for.
-func (e *QEI) Q() int { return e.q }
-
-// Name identifies the criterion.
-func (e *QEI) Name() string { return "qEI" }
-
 // EvalBatch returns the MC estimate of qEI for the batch xs (len q). The
 // batch posterior comes from a single joint GP prediction.
 func (e *QEI) EvalBatch(g surrogate.Surrogate, xs [][]float64) float64 {
@@ -325,30 +318,4 @@ func (e *QEI) FlatObjective(g surrogate.Surrogate, d int) func(flat []float64) f
 		batchScratchPool.Put(s)
 		return v
 	}
-}
-
-// ThompsonSample draws one posterior sample over the candidate set and
-// returns the index of its best point (used as an auxiliary batch filler).
-func ThompsonSample(g surrogate.Surrogate, candidates [][]float64, minimize bool, stream *rng.Stream) (int, error) {
-	jp, err := g.PredictJoint(candidates)
-	if err != nil {
-		return 0, err
-	}
-	y := stream.MVN(jp.Mean, jp.CovChol)
-	best := 0
-	for i := 1; i < len(y); i++ {
-		if (minimize && y[i] < y[best]) || (!minimize && y[i] > y[best]) {
-			best = i
-		}
-	}
-	return best, nil
-}
-
-// CloneVecs deep-copies a batch of points.
-func CloneVecs(xs [][]float64) [][]float64 {
-	out := make([][]float64, len(xs))
-	for i, x := range xs {
-		out[i] = mat.CloneVec(x)
-	}
-	return out
 }

@@ -1,7 +1,6 @@
 package acq
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/rng"
@@ -71,114 +70,4 @@ func (e *ScaledEI) EvalWithGrad(g surrogate.Surrogate, x, grad []float64) float6
 		grad[j] = (up - dn) / (2 * h)
 	}
 	return v
-}
-
-// QUCB is the Monte-Carlo multi-point Upper Confidence Bound of Wilson et
-// al.: qUCB(X) = E[max_i (μ_i + β̃·|γ_i|)] with γ ~ N(0, Σ(X)) and
-// β̃ = √(β·π/2), which reduces to the classical UCB for q = 1 in
-// expectation. Like QEI it uses fixed quasi-MC base samples so the
-// estimator is deterministic and optimizable.
-type QUCB struct {
-	// Beta is the exploration weight (default 2).
-	Beta float64
-	// Minimize selects the bound direction.
-	Minimize bool
-
-	q    int
-	base [][]float64
-}
-
-// NewQUCB builds a q-point MC UCB with the given number of base samples
-// (default 128 when samples <= 0).
-func NewQUCB(q, samples int, beta float64, minimize bool, stream *rng.Stream) *QUCB {
-	if q < 1 {
-		panic(fmt.Sprintf("acq: qUCB with q=%d", q))
-	}
-	if samples <= 0 {
-		samples = 128
-	}
-	if beta <= 0 {
-		beta = 2
-	}
-	return &QUCB{
-		Beta: beta, Minimize: minimize, q: q,
-		base: rng.SobolNormal(samples, q, stream),
-	}
-}
-
-// Q returns the batch size the criterion was built for.
-func (u *QUCB) Q() int { return u.q }
-
-// Name identifies the criterion.
-func (u *QUCB) Name() string { return "qUCB" }
-
-// EvalBatch returns the MC estimate of qUCB for the batch xs (len q).
-func (u *QUCB) EvalBatch(g surrogate.Surrogate, xs [][]float64) float64 {
-	if len(xs) != u.q {
-		panic(fmt.Sprintf("acq: qUCB batch size %d != %d", len(xs), u.q))
-	}
-	jp, err := g.PredictJoint(xs)
-	if err != nil {
-		// Degenerate joint covariance: diagonal fallback.
-		var acc float64
-		for _, z := range u.base {
-			best := math.Inf(-1)
-			for i, x := range xs {
-				mu, sd := g.Predict(x)
-				if v := u.pointValue(mu, sd*z[i]); v > best {
-					best = v
-				}
-			}
-			acc += best
-		}
-		return acc / float64(len(u.base))
-	}
-	betaT := math.Sqrt(u.Beta * math.Pi / 2)
-	var acc float64
-	for _, z := range u.base {
-		best := math.Inf(-1)
-		for i := 0; i < u.q; i++ {
-			var dev float64
-			row := jp.CovChol.Row(i)
-			for k := 0; k <= i; k++ {
-				dev += row[k] * z[k]
-			}
-			mu := jp.Mean[i]
-			var v float64
-			if u.Minimize {
-				v = -mu + betaT*math.Abs(dev)
-			} else {
-				v = mu + betaT*math.Abs(dev)
-			}
-			if v > best {
-				best = v
-			}
-		}
-		acc += best
-	}
-	return acc / float64(len(u.base))
-}
-
-func (u *QUCB) pointValue(mu, dev float64) float64 {
-	betaT := math.Sqrt(u.Beta * math.Pi / 2)
-	if u.Minimize {
-		return -mu + betaT*math.Abs(dev)
-	}
-	return mu + betaT*math.Abs(dev)
-}
-
-// FlatObjective adapts the batch criterion to a flattened q·d vector.
-func (u *QUCB) FlatObjective(g surrogate.Surrogate, d int) func(flat []float64) float64 {
-	return func(flat []float64) float64 {
-		if len(flat) != u.q*d {
-			panic(fmt.Sprintf("acq: flat length %d != q·d = %d", len(flat), u.q*d))
-		}
-		s := grabBatchScratch(0, u.q)
-		for i := range s.xs {
-			s.xs[i] = flat[i*d : (i+1)*d]
-		}
-		v := u.EvalBatch(g, s.xs)
-		batchScratchPool.Put(s)
-		return v
-	}
 }

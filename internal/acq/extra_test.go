@@ -3,8 +3,6 @@ package acq
 import (
 	"math"
 	"testing"
-
-	"repro/internal/rng"
 )
 
 func TestScaledEINonNegativeFinite(t *testing.T) {
@@ -45,63 +43,4 @@ func TestScaledEITemperedVsEI(t *testing.T) {
 		t.Fatalf("far value %v", far)
 	}
 	_ = near
-}
-
-func TestQUCBReducesToUCBForQ1(t *testing.T) {
-	g := fit1D(t, 0.05, 0.3, 0.55, 0.8)
-	beta := 2.0
-	analytic := &UCB{Beta: beta, Minimize: true}
-	mc := NewQUCB(1, 8192, beta, true, rng.New(21, 21))
-	for _, x0 := range []float64{0.15, 0.45, 0.7} {
-		a := analytic.Eval(g, []float64{x0})
-		// E[β̃|γ|] = β̃·σ·√(2/π) = √β·σ, matching the analytic UCB.
-		m := mc.EvalBatch(g, [][]float64{{x0}})
-		// The analytic UCB uses β·σ vs MC's √β... both conventions exist;
-		// Wilson et al. match E[qUCB] = μ + √β·σ. Compare against that.
-		mu, sd := g.Predict([]float64{x0})
-		want := -mu + math.Sqrt(beta)*sd
-		if math.Abs(m-want) > 0.05*(1+math.Abs(want)) {
-			t.Fatalf("x=%v: qUCB(1) = %v, want ≈ %v (analytic UCB %v)", x0, m, want, a)
-		}
-	}
-}
-
-func TestQUCBMonotoneInBatch(t *testing.T) {
-	g := fit1D(t, 0.05, 0.3, 0.55, 0.8)
-	q1 := NewQUCB(1, 4096, 2, true, rng.New(22, 22))
-	q2 := NewQUCB(2, 4096, 2, true, rng.New(22, 22))
-	single := q1.EvalBatch(g, [][]float64{{0.7}})
-	double := q2.EvalBatch(g, [][]float64{{0.7}, {0.2}})
-	if double < single-0.02 {
-		t.Fatalf("qUCB decreased when adding a point: %v -> %v", single, double)
-	}
-}
-
-func TestQUCBDuplicateFallback(t *testing.T) {
-	g := fit1D(t, 0.1, 0.5, 0.9)
-	u := NewQUCB(2, 64, 2, true, rng.New(23, 23))
-	v := u.EvalBatch(g, [][]float64{{0.42}, {0.42}})
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		t.Fatalf("qUCB on duplicates = %v", v)
-	}
-}
-
-func TestQUCBFlatObjective(t *testing.T) {
-	g := fit1D(t, 0.1, 0.5, 0.9)
-	u := NewQUCB(2, 64, 2, true, rng.New(24, 24))
-	batch := [][]float64{{0.3}, {0.7}}
-	if u.FlatObjective(g, 1)([]float64{0.3, 0.7}) != u.EvalBatch(g, batch) {
-		t.Fatal("flat objective differs")
-	}
-}
-
-func TestQUCBBadBatchPanics(t *testing.T) {
-	g := fit1D(t, 0.1, 0.9)
-	u := NewQUCB(2, 16, 2, true, rng.New(25, 25))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	u.EvalBatch(g, [][]float64{{0.5}})
 }

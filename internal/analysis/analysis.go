@@ -10,7 +10,7 @@
 //   - noprint: internal/ library packages never write to stdout/stderr;
 //     output belongs in cmd/ binaries or returned values.
 //   - floatcmp: floats are never compared with == or != outside the
-//     approved tolerance helpers in internal/fp.
+//     approved helpers in internal/fp.
 //   - godiscipline: no bare `go` statements outside internal/parallel, so
 //     the batch size q stays the only parallelism knob.
 //   - errcheck: no discarded error returns, neither `_ =` nor bare calls.
@@ -22,6 +22,8 @@
 //     critical section alive, and no blocking call runs under a lock.
 //   - detorder: no map-iteration-order, wall-clock, or
 //     rng-split-in-parallel dependence outside the sanctioned seams.
+//   - unusedexport: every exported identifier under internal/ has a
+//     consumer: non-test code, or another package's tests.
 //
 // The framework is deliberately tiny — go/parser, go/ast, go/token and
 // go/types only, no golang.org/x/tools — and supports per-line
@@ -58,6 +60,7 @@ type Pass struct {
 	Pkg     *types.Package
 	Info    *types.Info
 
+	loader   *Loader
 	analyzer string
 	diags    []Diagnostic
 }
@@ -85,7 +88,7 @@ type Analyzer struct {
 
 // All returns the project analyzers, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{NoRand, NoPrint, FloatCmp, GoDiscipline, ErrCheck, CtxFirst, PoolDiscipline, LockSafe, DetOrder}
+	return []*Analyzer{NoRand, NoPrint, FloatCmp, GoDiscipline, ErrCheck, CtxFirst, PoolDiscipline, LockSafe, DetOrder, UnusedExport}
 }
 
 // ByName resolves a comma-separated analyzer list; unknown names error.
@@ -117,12 +120,6 @@ type RunResult struct {
 	Suppressed  []Diagnostic
 }
 
-// Run applies the analyzers to one loaded package and returns the
-// surviving diagnostics (suppressions applied) sorted by position.
-func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	return RunPackage(pkg, analyzers).Diagnostics
-}
-
 // RunPackage applies the analyzers to one loaded package and returns both
 // the surviving and the suppressed diagnostics, each sorted by position.
 func RunPackage(pkg *Package, analyzers []*Analyzer) RunResult {
@@ -137,6 +134,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) RunResult {
 			PkgName:  pkg.Name,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
+			loader:   pkg.loader,
 			analyzer: a.Name,
 		}
 		a.Run(pass)

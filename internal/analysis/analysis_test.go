@@ -29,6 +29,7 @@ var goldenCases = []struct {
 	{PoolDiscipline, []string{"testdata/src/pooldiscipline"}},
 	{LockSafe, []string{"testdata/src/locksafe"}},
 	{DetOrder, []string{"testdata/src/detorder"}},
+	{UnusedExport, []string{"testdata/src/unusedexport/internal/lib", "testdata/src/unusedexport/internal/testutil"}},
 }
 
 func TestAnalyzersGolden(t *testing.T) {
@@ -43,7 +44,7 @@ func TestAnalyzersGolden(t *testing.T) {
 				if len(pkg.TypeErrors) > 0 {
 					t.Fatalf("fixture %s has type errors, first: %v", pkg.Path, pkg.TypeErrors[0])
 				}
-				for _, d := range Run(pkg, []*Analyzer{tc.analyzer}) {
+				for _, d := range RunPackage(pkg, []*Analyzer{tc.analyzer}).Diagnostics {
 					d.Pos.Filename = filepath.ToSlash(d.Pos.Filename)
 					lines = append(lines, d.String())
 				}
@@ -85,7 +86,7 @@ func TestAnalyzersFireAndStaySilent(t *testing.T) {
 		}
 		fired := false
 		for _, pkg := range pkgs {
-			for _, d := range Run(pkg, []*Analyzer{tc.analyzer}) {
+			for _, d := range RunPackage(pkg, []*Analyzer{tc.analyzer}).Diagnostics {
 				if d.Analyzer != tc.analyzer.Name {
 					continue // pbolint meta-diagnostics for malformed directives
 				}
@@ -111,7 +112,7 @@ func TestSuppressionRequiresReason(t *testing.T) {
 	}
 	var malformed, unsuppressed int
 	for _, pkg := range pkgs {
-		for _, d := range Run(pkg, []*Analyzer{GoDiscipline}) {
+		for _, d := range RunPackage(pkg, []*Analyzer{GoDiscipline}).Diagnostics {
 			if d.Analyzer == "pbolint" && strings.Contains(d.Message, "malformed") {
 				malformed++
 			}
@@ -132,8 +133,8 @@ func TestSuppressionRequiresReason(t *testing.T) {
 
 func TestByName(t *testing.T) {
 	all, err := ByName("")
-	if err != nil || len(all) != 9 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 9, nil", len(all), err)
+	if err != nil || len(all) != 10 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 10, nil", len(all), err)
 	}
 	two, err := ByName("norand, errcheck")
 	if err != nil || len(two) != 2 || two[0] != NoRand || two[1] != ErrCheck {

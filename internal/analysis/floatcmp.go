@@ -7,15 +7,16 @@ import (
 )
 
 // FloatCmp forbids == and != on floating-point operands outside the
-// approved tolerance helpers in internal/fp. Exact float equality is
-// almost never what numeric code means; where it is (sentinel checks,
-// bit-exact replay assertions), route through fp.Exact or suppress with a
-// reasoned //lint:ignore. Comparisons where both operands are compile-time
+// approved helpers in internal/fp. Exact float equality is almost never
+// what numeric code means; where it is (sentinel checks, bit-exact replay
+// assertions), route through fp.Zero or fp.Exact or suppress with a
+// reasoned //lint:ignore; a tolerance check compares math.Abs of the
+// difference with <=. Comparisons where both operands are compile-time
 // constants are allowed, as are _test.go files: determinism tests assert
 // bit-identical replay by design.
 var FloatCmp = &Analyzer{
 	Name: "floatcmp",
-	Doc:  "forbid ==/!= on floating-point operands outside internal/fp tolerance helpers",
+	Doc:  "forbid ==/!= on floating-point operands outside the internal/fp helpers",
 	Run:  runFloatCmp,
 }
 
@@ -40,7 +41,7 @@ func runFloatCmp(p *Pass) {
 			if p.InTestFile(be.Pos()) {
 				return true
 			}
-			p.Reportf(be.Pos(), "floating-point %s comparison: use internal/fp (fp.Eq, fp.Zero, fp.Exact) or math.IsNaN/math.IsInf", be.Op)
+			p.Reportf(be.Pos(), "floating-point %s comparison: use internal/fp (fp.Zero, fp.Exact), a math.Abs tolerance, or math.IsNaN/math.IsInf", be.Op)
 			return true
 		})
 	}

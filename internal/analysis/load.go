@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/build/constraint"
 	"go/importer"
 	"go/parser"
@@ -28,23 +29,177 @@ type Package struct {
 	// TypeErrors holds non-fatal type-check problems. Analyzers run on
 	// whatever information survived; the CLI reports them separately.
 	TypeErrors []error
+
+	loader *Loader
 }
 
 // Loader parses and type-checks packages. One Loader shares a FileSet and
-// a source importer across all packages so stdlib dependencies are only
-// compiled once per run.
+// an importer across all packages so every dependency is only compiled
+// once per run.
 type Loader struct {
 	Fset *token.FileSet
-	imp  types.ImporterFrom
+	imp  *moduleImporter
+	// exports caches the unusedexport consumer index per module root.
+	exports map[string]*exportIndex
 }
 
-// NewLoader returns a loader backed by the stdlib source importer.
+// NewLoader returns a loader that imports packages of the enclosing
+// module (and of modules its go.mod replaces with local directories) from
+// their source directories, and everything else through the stdlib source
+// importer.
 func NewLoader() *Loader {
 	fset := token.NewFileSet()
 	return &Loader{
 		Fset: fset,
-		imp:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		imp: &moduleImporter{
+			fset:    fset,
+			std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+			pkgs:    map[string]*types.Package{},
+			modules: map[string][]modulePathDir{},
+		},
+		exports: map[string]*exportIndex{},
 	}
+}
+
+// moduleImporter resolves an import against the go.mod enclosing the
+// importing file: a path inside that module, or inside a module its
+// go.mod replaces with a local directory, is type-checked from the
+// directory's non-test files; any other path goes to std. Resolving
+// module paths here rather than through `go list` makes the result
+// independent of the process's working directory, which lets a fixture
+// tree carry a go.mod of its own.
+type moduleImporter struct {
+	fset    *token.FileSet
+	std     types.ImporterFrom
+	pkgs    map[string]*types.Package // import path -> package; nil while in progress
+	modules map[string][]modulePathDir
+}
+
+// modulePathDir maps a module path to the directory holding its source.
+type modulePathDir struct {
+	path, dir string
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	return m.ImportFrom(path, "", 0)
+}
+
+func (m *moduleImporter) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
+	if pkg, seen := m.pkgs[path]; seen {
+		if pkg == nil {
+			return nil, fmt.Errorf("import cycle through %q", path)
+		}
+		return pkg, nil
+	}
+	dir, ok := m.resolve(path, srcDir)
+	if !ok {
+		return m.std.ImportFrom(path, srcDir, mode)
+	}
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	m.pkgs[path] = nil
+	conf := types.Config{Importer: m}
+	pkg, err := conf.Check(path, m.fset, files, nil)
+	if err != nil {
+		delete(m.pkgs, path)
+		return nil, fmt.Errorf("type-checking package %q failed (%v)", path, err)
+	}
+	m.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// resolve maps an import path to a source directory through the module
+// table of the go.mod enclosing srcDir, preferring the longest matching
+// module path.
+func (m *moduleImporter) resolve(path, srcDir string) (string, bool) {
+	if srcDir == "" {
+		return "", false
+	}
+	abs, err := filepath.Abs(srcDir)
+	if err != nil {
+		return "", false
+	}
+	root, ok := moduleRoot(abs)
+	if !ok {
+		return "", false
+	}
+	mods, cached := m.modules[root]
+	if !cached {
+		mods = readModuleTable(root)
+		m.modules[root] = mods
+	}
+	best, bestDir := "", ""
+	for _, md := range mods {
+		if (path == md.path || strings.HasPrefix(path, md.path+"/")) && len(md.path) > len(best) {
+			best, bestDir = md.path, md.dir
+		}
+	}
+	if best == "" {
+		return "", false
+	}
+	return filepath.Join(bestDir, filepath.FromSlash(strings.TrimPrefix(path, best))), true
+}
+
+// readModuleTable returns the module declared by root/go.mod, first,
+// plus every module its replace directives point at a local directory. A
+// go.mod that cannot be read yields an empty table, leaving resolution to
+// std.
+func readModuleTable(root string) []modulePathDir {
+	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil
+	}
+	var mods []modulePathDir
+	inReplace := false
+	for _, line := range strings.Split(string(data), "\n") {
+		line = strings.TrimSpace(line)
+		if i := strings.Index(line, "//"); i >= 0 {
+			line = strings.TrimSpace(line[:i])
+		}
+		switch {
+		case strings.HasPrefix(line, "module "):
+			main := modulePathDir{strings.Trim(strings.TrimSpace(strings.TrimPrefix(line, "module ")), `"`), root}
+			mods = append([]modulePathDir{main}, mods...)
+			continue
+		case line == "replace (":
+			inReplace = true
+			continue
+		case inReplace && line == ")":
+			inReplace = false
+			continue
+		}
+		rest, isReplace := strings.CutPrefix(line, "replace ")
+		if !isReplace && !inReplace {
+			continue
+		}
+		if !isReplace {
+			rest = line
+		}
+		from, to, ok := strings.Cut(rest, "=>")
+		fromFields, toFields := strings.Fields(from), strings.Fields(to)
+		if !ok || len(fromFields) == 0 || len(toFields) != 1 {
+			continue
+		}
+		target := toFields[0]
+		if !strings.HasPrefix(target, ".") && !filepath.IsAbs(target) {
+			continue // a module-path replacement is for std's `go list` to find
+		}
+		if !filepath.IsAbs(target) {
+			target = filepath.Join(root, target)
+		}
+		mods = append(mods, modulePathDir{fromFields[0], filepath.Clean(target)})
+	}
+	return mods
 }
 
 // Load expands the patterns (directories, or dir/... recursive walks)
@@ -216,7 +371,7 @@ func buildConstraintSatisfied(f *ast.File) bool {
 
 // check type-checks one unit, tolerating type errors.
 func (l *Loader) check(path, name, dir string, files []*ast.File) *Package {
-	pkg := &Package{Path: path, Name: name, Dir: dir, Fset: l.Fset, Files: files}
+	pkg := &Package{Path: path, Name: name, Dir: dir, Fset: l.Fset, Files: files, loader: l}
 	conf := types.Config{
 		Importer: l.imp,
 		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
@@ -242,42 +397,36 @@ func importPathFor(dir string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	root := abs
-	for {
-		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
-			break
-		}
-		parent := filepath.Dir(root)
-		if parent == root {
-			// Outside any module: fall back to the cleaned directory path.
-			return filepath.ToSlash(dir), nil
-		}
-		root = parent
+	root, ok := moduleRoot(abs)
+	if !ok {
+		// Outside any module: fall back to the cleaned directory path.
+		return filepath.ToSlash(dir), nil
 	}
-	modPath, err := modulePath(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return "", err
+	mods := readModuleTable(root)
+	if len(mods) == 0 || mods[0].dir != root {
+		return "", fmt.Errorf("%s: no module line", filepath.Join(root, "go.mod"))
 	}
 	rel, err := filepath.Rel(root, abs)
 	if err != nil {
 		return "", err
 	}
 	if rel == "." {
-		return modPath, nil
+		return mods[0].path, nil
 	}
-	return modPath + "/" + filepath.ToSlash(rel), nil
+	return mods[0].path + "/" + filepath.ToSlash(rel), nil
 }
 
-func modulePath(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
-	if err != nil {
-		return "", err
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.Trim(strings.TrimSpace(rest), `"`), nil
+// moduleRoot returns the nearest directory at or above dir holding a
+// go.mod.
+func moduleRoot(dir string) (string, bool) {
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir, true
 		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return "", false
+		}
+		dir = parent
 	}
-	return "", fmt.Errorf("%s: no module line", gomod)
 }

@@ -369,9 +369,6 @@ func (m *mlp) forwardGrad(x []float64) (float64, []float64) {
 	return out, g
 }
 
-// Members returns the ensemble size.
-func (e *Ensemble) Members() int { return len(e.nets) }
-
 // Predict returns the ensemble predictive mean and the member-disagreement
 // standard deviation at a raw-space point.
 func (e *Ensemble) Predict(x []float64) (mean, sd float64) {

@@ -114,8 +114,8 @@ func TestMembersCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Members() != 4 {
-		t.Fatalf("members = %d", e.Members())
+	if len(e.nets) != 4 {
+		t.Fatalf("members = %d", len(e.nets))
 	}
 }
 

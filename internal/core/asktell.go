@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/gp"
@@ -20,9 +21,9 @@ import (
 // workers behind the pboserver HTTP API, or a test harness. The lifecycle
 // phases of a cycle are unchanged: Ask performs fitModel and acquireBatch,
 // Tell performs the observe/record bookkeeping evaluateBatch used to do,
-// and the virtual-clock accounting, stream consumption order and hook
-// sequence are identical to the closed loop — the golden strategy traces
-// pin this bit-for-bit.
+// and the virtual-clock accounting and stream consumption order are
+// identical to the closed loop — the golden strategy traces pin this
+// bit-for-bit.
 
 // ErrDone is returned by Ask when the run is complete: the virtual budget
 // is exhausted or MaxCycles is reached. Result then reports the final
@@ -73,7 +74,6 @@ type AskTell struct {
 	clock *Clock
 	st    *State
 	res   *Result
-	hook  CycleHook
 
 	factory ModelFactory
 	model   surrogate.Surrogate
@@ -129,7 +129,6 @@ func NewAskTell(e *Engine) (*AskTell, error) {
 		cfg:          cfg,
 		clock:        NewClock(cfg.OverheadFactor),
 		st:           &State{Problem: cfg.Problem},
-		hook:         cfg.Hook,
 		factory:      cfg.Factory,
 		designStream: master.Split(1),
 		acqStream:    master.Split(2),
@@ -258,11 +257,6 @@ func (at *AskTell) Ask(ctx context.Context) (*Batch, error) {
 		}
 		return nil, interrupted("acquisition", err)
 	}
-	// The lifecycle hooks fire only once the cycle is committed to the
-	// ledger, in the closed loop's OnFit→OnAcquire order; a rolled-back
-	// attempt is invisible to observers.
-	at.hook.OnFit(cycle, at.model, fitVirtual)
-	at.hook.OnAcquire(cycle, points, fallback, reason, acqVirtual)
 	return at.addPending(cycle, points, fitVirtual, acqVirtual, fallback, reason), nil
 }
 
@@ -366,7 +360,8 @@ func (at *AskTell) addPending(cycle int, points [][]float64, fitVirtual, acqVirt
 // engine Pool's worker model — exactly the value the closed loop's
 // EvalBatch reports — then observe, notify the strategy and record the
 // cycle. Initial-design waves only observe (the design never consumes
-// budget). Batches may be told in any order.
+// budget). Batches may be told in any order. A non-finite value or a
+// negative cost is rejected with the batch left pending.
 func (at *AskTell) Tell(id int, ys []float64, costs []time.Duration) error {
 	if at.failed != nil {
 		return at.failed
@@ -382,6 +377,19 @@ func (at *AskTell) Tell(id int, ys []float64, costs []time.Duration) error {
 	if costs != nil && len(costs) != n {
 		return fmt.Errorf("core: tell batch %d: %d costs for %d points", id, len(costs), n)
 	}
+	// Reject malformed values while the batch is still pending, so the
+	// caller can re-tell it: one NaN would otherwise reach the incumbent
+	// and turn BestY into NaN for the rest of the run.
+	for i, y := range ys {
+		if math.IsNaN(y) || math.IsInf(y, 0) {
+			return fmt.Errorf("core: tell batch %d: non-finite value %v for point %d", id, y, i)
+		}
+	}
+	for i, c := range costs {
+		if c < 0 {
+			return fmt.Errorf("core: tell batch %d: negative cost %v for point %d", id, c, i)
+		}
+	}
 	if costs == nil {
 		costs = make([]time.Duration, n)
 	}
@@ -391,9 +399,6 @@ func (at *AskTell) Tell(id int, ys []float64, costs []time.Duration) error {
 		at.st.Observe(pb.batch.Points, ys)
 		at.designTold += n
 		at.res.InitEvals = len(at.st.Y)
-		if at.designTold == len(at.design) {
-			at.hook.OnInitialDesign(at.st, at.res.InitEvals)
-		}
 		return nil
 	}
 
@@ -409,7 +414,6 @@ func (at *AskTell) Tell(id int, ys []float64, costs []time.Duration) error {
 	}
 	at.st.Observe(pb.batch.Points, ys)
 	at.cfg.Strategy.Observe(at.st, pb.batch.Points, ys)
-	at.hook.OnEvaluate(pb.batch.Cycle, pb.batch.Points, ys, evalVirtual)
 	at.record(pb.batch.Cycle, pb.fitVirtual, pb.acqVirtual, evalVirtual, pb.fallback, pb.reason)
 	return nil
 }
@@ -510,7 +514,6 @@ func (at *AskTell) record(cycle int, fitVirtual, acqVirtual, evalVirtual time.Du
 	}
 	at.res.History = append(at.res.History, rec)
 	at.recorded++
-	at.hook.OnRecord(rec)
 }
 
 // Result seals and returns the run's result so far: final incumbent,
@@ -798,7 +801,6 @@ func ResumeAskTell(e *Engine, c *Checkpoint) (*AskTell, error) {
 		cfg:          cfg,
 		clock:        NewClock(cfg.OverheadFactor),
 		st:           &State{Problem: cfg.Problem, Cycle: c.Cycle},
-		hook:         cfg.Hook,
 		factory:      cfg.Factory,
 		designStream: designStream,
 		acqStream:    acqStream,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -175,6 +176,54 @@ func TestAskTellTellValidation(t *testing.T) {
 	}
 	if err := at.Tell(b.ID, make([]float64, len(b.Points)), nil); err == nil {
 		t.Fatal("double tell accepted")
+	}
+}
+
+// TestAskTellRejectsNonFinite: a NaN or infinite value and a negative
+// cost are refused while the batch is still pending, so every batch can
+// be re-told with its real values — and the run then ends bit-identical
+// to a clean one. Accepting the NaN would have made BestY NaN for the
+// rest of the run.
+func TestAskTellRejectsNonFinite(t *testing.T) {
+	ref := referenceResult(t, 23)
+
+	e := askTellEngine(23)
+	at, err := NewAskTell(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at.SetNow(fakeNow())
+	ctx := context.Background()
+	for {
+		b, err := at.Ask(ctx)
+		if errors.Is(err, ErrDone) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		br, err := e.Pool.EvalBatch(ctx, e.Problem.Evaluator, b.Points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			ys := append([]float64(nil), br.Y...)
+			ys[len(ys)-1] = bad
+			if err := at.Tell(b.ID, ys, br.Costs); err == nil {
+				t.Fatalf("batch %d: tell with value %v accepted", b.ID, bad)
+			}
+		}
+		costs := append([]time.Duration(nil), br.Costs...)
+		costs[0] = -time.Second
+		if err := at.Tell(b.ID, br.Y, costs); err == nil {
+			t.Fatalf("batch %d: tell with a negative cost accepted", b.ID)
+		}
+		if err := at.Tell(b.ID, br.Y, br.Costs); err != nil {
+			t.Fatalf("batch %d: re-tell after rejections: %v", b.ID, err)
+		}
+	}
+	if got := at.Result(); !reflect.DeepEqual(ref, got) {
+		t.Fatalf("run with rejected tells diverged:\nref %+v\ngot %+v", ref, got)
 	}
 }
 

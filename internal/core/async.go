@@ -20,7 +20,7 @@ import (
 // penalization, tracked by FantasyFallbacks.
 
 // askAsync is the cycle phase of Ask in asynchronous mode. Guard order,
-// transactional rollback, fit accounting and hook sequence mirror the
+// transactional rollback and fit accounting mirror the
 // synchronous path exactly; the differences are the in-flight slot cap,
 // the busy-point conditioning before acquisition, and q = 1.
 func (at *AskTell) askAsync(ctx context.Context) (*Batch, error) {
@@ -67,8 +67,6 @@ func (at *AskTell) askAsync(ctx context.Context) (*Batch, error) {
 		}
 		return nil, interrupted("acquisition", err)
 	}
-	at.hook.OnFit(cycle, at.model, fitVirtual)
-	at.hook.OnAcquire(cycle, points, fallback, reason, acqVirtual)
 	b := at.addPending(cycle, points, fitVirtual, acqVirtual, fallback, reason)
 	// The point's evaluation clock starts now — after the fit and the
 	// acquisition have been charged — so its Tell completes it at

@@ -256,46 +256,6 @@ func (f *gpFactory) Fit(ctx context.Context, st *State, cycle int) (surrogate.Su
 	return m, nil
 }
 
-// CycleHook observes engine lifecycle phases. All methods are called
-// synchronously from Run, in order: OnInitialDesign once, then per cycle
-// OnFit, OnAcquire, OnEvaluate, OnRecord. Implementations must not mutate
-// the arguments. Embed NopHook to implement only the phases of interest.
-type CycleHook interface {
-	// OnInitialDesign fires after the initial design has been fully
-	// evaluated; n is the number of design evaluations.
-	OnInitialDesign(st *State, n int)
-	// OnFit fires after the cycle's surrogate is ready. virtual is the
-	// FitTime charged to the clock.
-	OnFit(cycle int, model surrogate.Surrogate, virtual time.Duration)
-	// OnAcquire fires after the batch is selected (and deduplicated).
-	// fallback reports whether acquisition failed and the engine
-	// substituted uniform-random candidates; reason is empty otherwise.
-	OnAcquire(cycle int, batch [][]float64, fallback bool, reason string, virtual time.Duration)
-	// OnEvaluate fires after the batch has been evaluated and observed.
-	OnEvaluate(cycle int, batch [][]float64, ys []float64, virtual time.Duration)
-	// OnRecord fires last in a cycle with the appended history record.
-	OnRecord(rec CycleRecord)
-}
-
-// NopHook is a CycleHook that does nothing; it is the default and the
-// recommended embedding base for partial hooks.
-type NopHook struct{}
-
-// OnInitialDesign implements CycleHook.
-func (NopHook) OnInitialDesign(*State, int) {}
-
-// OnFit implements CycleHook.
-func (NopHook) OnFit(int, surrogate.Surrogate, time.Duration) {}
-
-// OnAcquire implements CycleHook.
-func (NopHook) OnAcquire(int, [][]float64, bool, string, time.Duration) {}
-
-// OnEvaluate implements CycleHook.
-func (NopHook) OnEvaluate(int, [][]float64, []float64, time.Duration) {}
-
-// OnRecord implements CycleHook.
-func (NopHook) OnRecord(CycleRecord) {}
-
 // CycleRecord captures one engine cycle for the paper's figures.
 type CycleRecord struct {
 	// Cycle is 1-based; cycle 0 is the initial design.
@@ -432,8 +392,6 @@ type Engine struct {
 	// paper's GP with the Model schedule). Ignored when the Strategy
 	// implements ModelProvider.
 	Factory ModelFactory
-	// Hook observes lifecycle phases; nil means NopHook.
-	Hook CycleHook
 	// Seed makes the run deterministic.
 	Seed uint64
 }
@@ -482,9 +440,6 @@ func (e *Engine) defaults() Engine {
 	}
 	if d.Model.RefitEvery <= 0 {
 		d.Model.RefitEvery = 3
-	}
-	if d.Hook == nil {
-		d.Hook = NopHook{}
 	}
 	return d
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 )
 
@@ -92,27 +91,4 @@ func ReadResultJSON(r io.Reader) (*Result, error) {
 		})
 	}
 	return out, nil
-}
-
-// WriteTraceCSV writes the evaluation trace as CSV (index, coordinates,
-// value, best-so-far) for external plotting.
-func (r *Result) WriteTraceCSV(w io.Writer, minimize bool) error {
-	var b strings.Builder
-	b.WriteString("eval")
-	if len(r.X) > 0 {
-		for j := range r.X[0] {
-			fmt.Fprintf(&b, ",x%d", j)
-		}
-	}
-	b.WriteString(",y,best\n")
-	best := r.BestTrace(minimize)
-	for i, y := range r.Y {
-		fmt.Fprintf(&b, "%d", i+1)
-		for _, v := range r.X[i] {
-			fmt.Fprintf(&b, ",%g", v)
-		}
-		fmt.Fprintf(&b, ",%g,%g\n", y, best[i])
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
 }

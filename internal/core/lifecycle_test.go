@@ -1,7 +1,6 @@
 package core
 
-// Tests for the engine lifecycle decomposition: hook ordering, fallback
-// reporting, context cancellation (partial results, drained workers) and
+// Tests for the engine lifecycle decomposition: fallback reporting, context cancellation (partial results, drained workers) and
 // fit-time attribution for self-modeled strategies.
 
 import (
@@ -17,69 +16,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/surrogate"
 )
-
-// recordingHook captures the phase sequence of a run.
-type recordingHook struct {
-	NopHook
-	events []string
-	recs   []CycleRecord
-	initN  int
-}
-
-func (h *recordingHook) OnInitialDesign(_ *State, n int) {
-	h.events = append(h.events, "init")
-	h.initN = n
-}
-
-func (h *recordingHook) OnFit(cycle int, _ surrogate.Surrogate, _ time.Duration) {
-	h.events = append(h.events, "fit")
-}
-
-func (h *recordingHook) OnAcquire(cycle int, _ [][]float64, _ bool, _ string, _ time.Duration) {
-	h.events = append(h.events, "acquire")
-}
-
-func (h *recordingHook) OnEvaluate(cycle int, _ [][]float64, _ []float64, _ time.Duration) {
-	h.events = append(h.events, "evaluate")
-}
-
-func (h *recordingHook) OnRecord(rec CycleRecord) {
-	h.events = append(h.events, "record")
-	h.recs = append(h.recs, rec)
-}
-
-func TestEngineHookPhaseOrder(t *testing.T) {
-	p := sphereProblem(time.Second)
-	e := quickEngine(p, &randomStrategy{})
-	e.Budget = time.Hour
-	e.MaxCycles = 2
-	h := &recordingHook{}
-	e.Hook = h
-	res, err := e.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"init", "fit", "acquire", "evaluate", "record", "fit", "acquire", "evaluate", "record"}
-	if len(h.events) != len(want) {
-		t.Fatalf("events = %v", h.events)
-	}
-	for i := range want {
-		if h.events[i] != want[i] {
-			t.Fatalf("event[%d] = %q, want %q (full: %v)", i, h.events[i], want[i], h.events)
-		}
-	}
-	if h.initN != res.InitEvals {
-		t.Fatalf("OnInitialDesign n = %d, InitEvals = %d", h.initN, res.InitEvals)
-	}
-	if len(h.recs) != len(res.History) {
-		t.Fatalf("OnRecord count %d != history %d", len(h.recs), len(res.History))
-	}
-	for i, rec := range h.recs {
-		if rec.Cycle != res.History[i].Cycle || rec.Evals != res.History[i].Evals {
-			t.Fatalf("OnRecord[%d] = %+v, history = %+v", i, rec, res.History[i])
-		}
-	}
-}
 
 // erroringStrategy fails every proposal with a distinctive error.
 type erroringStrategy struct{}
@@ -229,27 +165,16 @@ func TestEngineCancelMidRunPartialResult(t *testing.T) {
 	}
 }
 
-// cancelAfterHook cancels the run's context once a given cycle is recorded.
-type cancelAfterHook struct {
-	NopHook
-	cancel context.CancelFunc
-	after  int
-}
-
-func (h *cancelAfterHook) OnRecord(rec CycleRecord) {
-	if rec.Cycle >= h.after {
-		h.cancel()
-	}
-}
-
+// TestEngineCancelBetweenCycles cancels the run from inside cycle 3's
+// acquisition: that cycle rolls back, and the partial result holds the
+// two completed cycles.
 func TestEngineCancelBetweenCycles(t *testing.T) {
 	p := sphereProblem(time.Second)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	e := quickEngine(p, &randomStrategy{})
+	e := quickEngine(p, &cancellingStrategy{inner: &randomStrategy{}, fireAt: 3, cancel: cancel})
 	e.Budget = time.Hour
 	e.MaxCycles = 10
-	e.Hook = &cancelAfterHook{cancel: cancel, after: 2}
 
 	res, err := e.Run(ctx)
 	if !errors.Is(err, ErrInterrupted) {

@@ -1,32 +1,10 @@
 // Package fp holds the project's approved floating-point comparison
 // helpers. The floatcmp analyzer (cmd/pbolint) forbids raw == and != on
 // float operands everywhere else, so every float comparison in the
-// codebase names its intent: a tolerance check (Eq, EqTol), an exact
-// sentinel or sparsity test (Zero), or deliberate bit-level equality
-// (Exact). All helpers are NaN-strict: comparisons involving NaN report
-// false.
+// codebase names its intent: an exact sentinel or sparsity test (Zero),
+// or deliberate bit-level equality (Exact). Tolerance checks compare
+// math.Abs of the difference against a bound, which needs no helper.
 package fp
-
-import "math"
-
-// DefaultTol is the relative tolerance used by Eq.
-const DefaultTol = 1e-12
-
-// Eq reports whether a and b agree to the default relative tolerance.
-func Eq(a, b float64) bool { return EqTol(a, b, DefaultTol) }
-
-// EqTol reports |a-b| <= tol·(1+|a|+|b|): absolute near zero, relative
-// for large magnitudes. It is false if either operand is NaN and true
-// for equal infinities.
-func EqTol(a, b, tol float64) bool {
-	if a == b { // handles equal infinities, exact hits
-		return true
-	}
-	if math.IsInf(a, 0) || math.IsInf(b, 0) {
-		return false // unequal infinities; Inf vs finite would otherwise pass
-	}
-	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
-}
 
 // Zero reports x == 0 exactly (either sign of zero). Use it for sentinel
 // "unset" checks and sparsity skips where only true zero qualifies.

@@ -5,40 +5,6 @@ import (
 	"testing"
 )
 
-func TestEq(t *testing.T) {
-	cases := []struct {
-		a, b float64
-		want bool
-	}{
-		{1, 1, true},
-		{1, 1 + 1e-14, true},
-		{1, 1 + 1e-9, false},
-		{0, 1e-13, true},
-		{0, 1e-9, false},
-		{1e300, 1e300 * (1 + 1e-14), true},
-		{1e300, 1.001e300, false},
-		{math.Inf(1), math.Inf(1), true},
-		{math.Inf(1), math.Inf(-1), false},
-		{math.Inf(1), 1e308, false},
-		{math.NaN(), math.NaN(), false},
-		{math.NaN(), 1, false},
-	}
-	for _, c := range cases {
-		if got := Eq(c.a, c.b); got != c.want {
-			t.Errorf("Eq(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestEqTol(t *testing.T) {
-	if !EqTol(1, 1.05, 0.1) {
-		t.Error("EqTol(1, 1.05, 0.1) = false, want true")
-	}
-	if EqTol(1, 1.5, 0.1) {
-		t.Error("EqTol(1, 1.5, 0.1) = true, want false")
-	}
-}
-
 func TestZero(t *testing.T) {
 	if !Zero(0) || !Zero(math.Copysign(0, -1)) {
 		t.Error("Zero should accept both signed zeros")

@@ -209,8 +209,8 @@ func TestFantasyChainSharesPrefix(t *testing.T) {
 		t.Fatalf("Fit: %v", err)
 	}
 	stream := rng.New(11, 3)
-	lo := make([]float64, g.Dim())
-	hi := make([]float64, g.Dim())
+	lo := make([]float64, g.d)
+	hi := make([]float64, g.d)
 	for i := range hi {
 		hi[i] = 1
 	}

@@ -67,6 +67,7 @@ type KernelKind int
 
 // Supported kernel families.
 const (
+	//lint:ignore unusedexport the named zero value of KernelKind: every zero Config selects it without spelling it out
 	Matern52 KernelKind = iota // paper default
 	Matern32
 	SE
@@ -592,15 +593,6 @@ func (g *GP) factorize() error {
 
 // N returns the number of training points.
 func (g *GP) N() int { return g.x.Rows() }
-
-// Dim returns the input dimension.
-func (g *GP) Dim() int { return g.d }
-
-// LML returns the log marginal likelihood achieved during fitting.
-func (g *GP) LML() float64 { return g.fitLML }
-
-// Noise returns the fitted (or fixed) noise variance in standardized space.
-func (g *GP) Noise() float64 { return g.noise }
 
 // Lengthscales returns the fitted ARD lengthscales on the normalized unit
 // cube, one per input dimension. TuRBO uses these to shape its trust region.

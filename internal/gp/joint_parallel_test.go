@@ -22,8 +22,8 @@ func TestPredictJointParallelBitIdentity(t *testing.T) {
 		t.Fatalf("Fit: %v", err)
 	}
 	stream := rng.New(7, 5)
-	lo := make([]float64, g.Dim())
-	hi := make([]float64, g.Dim())
+	lo := make([]float64, g.d)
+	hi := make([]float64, g.d)
 	for i := range hi {
 		hi[i] = 1
 	}

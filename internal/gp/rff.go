@@ -200,9 +200,6 @@ func (r *RFF) featurize(u []float64, dst []float64) {
 	}
 }
 
-// Features returns the number of random features M.
-func (r *RFF) Features() int { return r.features }
-
 // Predict returns the posterior mean and standard deviation at a raw-space
 // point. Steady state it performs no heap allocations.
 func (r *RFF) Predict(x []float64) (mean, sd float64) {
@@ -377,12 +374,6 @@ func (r *RFF) BestObserved(minimize bool) (idx int, x []float64, y float64) {
 	}
 	return idx, mat.CloneVec(r.xs[idx]), y
 }
-
-// N returns the number of training points.
-func (r *RFF) N() int { return len(r.ys) }
-
-// Dim returns the input dimension.
-func (r *RFF) Dim() int { return r.d }
 
 // Info implements surrogate.Surrogate. Score is the negative training MSE
 // in raw output units (the weight posterior has no cheap exact LML once

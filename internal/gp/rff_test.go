@@ -54,8 +54,8 @@ func TestRFFWithoutPrevModel(t *testing.T) {
 	if math.IsNaN(mu) || sd < 0 {
 		t.Fatalf("prediction (%v, %v)", mu, sd)
 	}
-	if rff.Features() != 256 {
-		t.Fatalf("features = %d", rff.Features())
+	if rff.features != 256 {
+		t.Fatalf("features = %d", rff.features)
 	}
 }
 

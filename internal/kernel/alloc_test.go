@@ -43,7 +43,7 @@ func TestEvalRowMatchesEval(t *testing.T) {
 		k.EvalRow(dst, x, flat)
 		for i := range rows {
 			if want := k.Eval(x, rows[i]); !fp.Exact(dst[i], want) {
-				t.Fatalf("%s: EvalRow[%d] = %v, Eval = %v", k.Name(), i, dst[i], want)
+				t.Fatalf("%s: EvalRow[%d] = %v, Eval = %v", kernelName(k), i, dst[i], want)
 			}
 		}
 
@@ -52,12 +52,12 @@ func TestEvalRowMatchesEval(t *testing.T) {
 		gref := make([]float64, d)
 		for i := range rows {
 			if want := k.Eval(x, rows[i]); !fp.Exact(dst[i], want) {
-				t.Fatalf("%s: EvalRowWithGrad value[%d] = %v, Eval = %v", k.Name(), i, dst[i], want)
+				t.Fatalf("%s: EvalRowWithGrad value[%d] = %v, Eval = %v", kernelName(k), i, dst[i], want)
 			}
 			k.GradX(x, rows[i], gref)
 			for j := 0; j < d; j++ {
 				if got := grow[i*d+j]; !fp.Exact(got, gref[j]) {
-					t.Fatalf("%s: EvalRowWithGrad grad[%d][%d] = %v, GradX = %v", k.Name(), i, j, got, gref[j])
+					t.Fatalf("%s: EvalRowWithGrad grad[%d][%d] = %v, GradX = %v", kernelName(k), i, j, got, gref[j])
 				}
 			}
 		}
@@ -82,12 +82,12 @@ func TestEvalRowAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(100, func() {
 			k.EvalRow(dst, x, flat)
 		}); got > 0 {
-			t.Fatalf("%s: EvalRow allocates %v times per call, want 0", k.Name(), got)
+			t.Fatalf("%s: EvalRow allocates %v times per call, want 0", kernelName(k), got)
 		}
 		if got := testing.AllocsPerRun(100, func() {
 			k.EvalRowWithGrad(dst, grow, x, flat)
 		}); got > 0 {
-			t.Fatalf("%s: EvalRowWithGrad allocates %v times per call, want 0", k.Name(), got)
+			t.Fatalf("%s: EvalRowWithGrad allocates %v times per call, want 0", kernelName(k), got)
 		}
 	}
 }

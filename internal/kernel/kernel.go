@@ -42,11 +42,8 @@ type Kernel interface {
 	// log-hyperparameter θ_j into grad, which must have length NumParams().
 	EvalWithGrad(x, y []float64, grad []float64) float64
 	// GradX writes ∂k(x,y)/∂x into grad, which must have length Dim().
+	//lint:ignore unusedexport per-pair reference that TestEvalRowMatchesEval and TestGradXFiniteDiff check EvalRowWithGrad against
 	GradX(x, y []float64, grad []float64)
-	// Clone returns an independent copy.
-	Clone() Kernel
-	// Name identifies the kernel family.
-	Name() string
 }
 
 // profile is the radial part of a stationary kernel: given the squared
@@ -54,7 +51,6 @@ type Kernel interface {
 type profile interface {
 	val(r2 float64) float64
 	valDeriv(r2 float64) (phi, dPhiDr2 float64)
-	name() string
 }
 
 // ard is the shared ARD machinery: k(x,y) = σ²·φ(Σ((x_i−y_i)/ℓ_i)²).
@@ -98,7 +94,6 @@ func (k *ard) refresh() {
 
 func (k *ard) Dim() int       { return k.dim }
 func (k *ard) NumParams() int { return 1 + k.dim }
-func (k *ard) Name() string   { return k.p.name() }
 
 func (k *ard) Params(dst []float64) []float64 {
 	dst = append(dst, k.logVariance)
@@ -203,6 +198,7 @@ func (k *ard) EvalRowWithGrad(dst, gradx []float64, x []float64, xs []float64) {
 	}
 }
 
+//lint:ignore unusedexport per-pair reference that TestEvalRowMatchesEval and TestGradXFiniteDiff check EvalRowWithGrad against
 func (k *ard) GradX(x, y []float64, grad []float64) {
 	if len(grad) != k.dim {
 		panic(fmt.Sprintf("kernel: gradX length %d != %d", len(grad), k.dim))
@@ -216,19 +212,9 @@ func (k *ard) GradX(x, y []float64, grad []float64) {
 	}
 }
 
-func (k *ard) clone() ard {
-	c := *k
-	c.logLength = append([]float64(nil), k.logLength...)
-	c.invLen = append([]float64(nil), k.invLen...)
-	c.inv2Len = append([]float64(nil), k.inv2Len...)
-	return c
-}
-
 // --- Matérn 5/2 -------------------------------------------------------------
 
 type matern52Profile struct{}
-
-func (matern52Profile) name() string { return "matern52" }
 
 func (matern52Profile) val(r2 float64) float64 {
 	t := math.Sqrt(5 * r2)
@@ -251,14 +237,9 @@ func NewMatern52(dim int) *Matern52 {
 	return &Matern52{*newARD(matern52Profile{}, dim)}
 }
 
-// Clone returns an independent copy.
-func (k *Matern52) Clone() Kernel { return &Matern52{k.ard.clone()} }
-
 // --- Matérn 3/2 -------------------------------------------------------------
 
 type matern32Profile struct{}
-
-func (matern32Profile) name() string { return "matern32" }
 
 func (matern32Profile) val(r2 float64) float64 {
 	t := math.Sqrt(3 * r2)
@@ -280,14 +261,9 @@ func NewMatern32(dim int) *Matern32 {
 	return &Matern32{*newARD(matern32Profile{}, dim)}
 }
 
-// Clone returns an independent copy.
-func (k *Matern32) Clone() Kernel { return &Matern32{k.ard.clone()} }
-
 // --- Squared exponential ----------------------------------------------------
 
 type seProfile struct{}
-
-func (seProfile) name() string { return "se" }
 
 func (seProfile) val(r2 float64) float64 { return math.Exp(-0.5 * r2) }
 
@@ -303,9 +279,6 @@ type SE struct{ ard }
 func NewSE(dim int) *SE {
 	return &SE{*newARD(seProfile{}, dim)}
 }
-
-// Clone returns an independent copy.
-func (k *SE) Clone() Kernel { return &SE{k.ard.clone()} }
 
 // Lengthscales returns the (linear-scale) ARD lengthscales of any kernel
 // built on the shared ARD machinery.

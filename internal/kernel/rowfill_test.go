@@ -37,9 +37,9 @@ func TestEvalRowAutoBitIdentity(t *testing.T) {
 			EvalRowWithGradAuto(k, gotV, gotG, x, flat)
 			runtime.GOMAXPROCS(old)
 
-			vecBitsEqual(t, got, want, k.Name()+": EvalRowAuto values")
-			vecBitsEqual(t, gotV, wantV, k.Name()+": EvalRowWithGradAuto values")
-			vecBitsEqual(t, gotG, wantG, k.Name()+": EvalRowWithGradAuto gradients")
+			vecBitsEqual(t, got, want, kernelName(k)+": EvalRowAuto values")
+			vecBitsEqual(t, gotV, wantV, kernelName(k)+": EvalRowWithGradAuto values")
+			vecBitsEqual(t, gotG, wantG, kernelName(k)+": EvalRowWithGradAuto gradients")
 		}
 	}
 }

@@ -34,7 +34,7 @@ func colOffset(k, np int) int { return k*np - k*(k-1)/2 }
 // colOffset(k,np)+np−k] and holds L[k..np)[k]. A prefix is immutable once
 // published and position-independent — any factor whose leading np rows
 // equal the prefix owner's can consume it, which is what lets a
-// Kriging-Believer fantasy chain share the root factor's cache (Extend
+// Kriging-Believer fantasy chain share the root factor's cache (ExtendCols
 // propagates the pointer) instead of paying one O(n²) build per link.
 type ltPrefix struct {
 	np   int
@@ -70,8 +70,7 @@ type Cholesky struct {
 // NewCholesky factorizes the symmetric positive-definite matrix a. Only the
 // lower triangle of a is read. If the factorization fails, exponentially
 // increasing jitter (starting at startJitter, up to maxJitter) is added to
-// the diagonal; the jitter actually used is recorded and queryable via
-// Jitter. startJitter <= 0 selects a default relative to the mean diagonal.
+// the diagonal; the jitter actually used is recorded. startJitter <= 0 selects a default relative to the mean diagonal.
 func NewCholesky(a *Dense, startJitter, maxJitter float64) (*Cholesky, error) {
 	c := &Cholesky{}
 	if err := c.Refactorize(a, startJitter, maxJitter); err != nil {
@@ -165,12 +164,6 @@ func (c *Cholesky) factorize(a *Dense, jitter float64) bool {
 	return true
 }
 
-// Size returns the order of the factorized matrix.
-func (c *Cholesky) Size() int { return c.n }
-
-// Jitter returns the diagonal jitter that was added during factorization.
-func (c *Cholesky) Jitter() float64 { return c.jitter }
-
 // L materializes the lower-triangular factor as a freshly allocated dense
 // matrix with a zero strict upper triangle. The factor's own storage is
 // packed, so the result does not alias it and may be modified freely.
@@ -184,30 +177,15 @@ func (c *Cholesky) L() *Dense {
 	return d
 }
 
-// LRow copies packed row i of L (entries L[i][0..i], length i+1) into dst
-// and returns it. dst must have length i+1. It exposes rows without the
-// O(n²) materialization L performs.
-func (c *Cholesky) LRow(i int, dst []float64) []float64 {
-	if i < 0 || i >= c.n {
-		panic(fmt.Sprintf("mat: cholesky row %d out of range [0,%d)", i, c.n))
-	}
-	if len(dst) != i+1 {
-		panic(fmt.Sprintf("mat: cholesky row dst length %d != %d", len(dst), i+1))
-	}
-	off := rowOffset(i)
-	copy(dst, c.l[off:off+i+1])
-	return dst
-}
-
 // HasTransposeCache reports whether the factor currently holds a
 // transpose cache — built locally or inherited from a parent through
-// Extend. Read-only: it never triggers a build and never advances the
+// ExtendCols. Read-only: it never triggers a build and never advances the
 // fast-path trigger.
 func (c *Cholesky) HasTransposeCache() bool { return c.ltp.Load() != nil }
 
 // SharesTransposeCache reports whether c and other hold the same cache
 // object — true exactly when one inherited the other's prefix through
-// Extend, or both inherited a common ancestor's. Read-only.
+// ExtendCols, or both inherited a common ancestor's. Read-only.
 func (c *Cholesky) SharesTransposeCache(other *Cholesky) bool {
 	p := c.ltp.Load()
 	return p != nil && p == other.ltp.Load()
@@ -258,11 +236,6 @@ func (c *Cholesky) SolveVecInto(dst, b []float64) []float64 {
 		c.backSolveDirect(dst)
 	}
 	return dst
-}
-
-// ForwardSolveVec solves L·y = b in a fresh vector.
-func (c *Cholesky) ForwardSolveVec(b []float64) []float64 {
-	return c.ForwardSolveVecInto(make([]float64, len(b)), b)
 }
 
 // ForwardSolveVecInto solves L·y = b into dst (length n) and returns dst.
@@ -333,11 +306,11 @@ func (c *Cholesky) useFast() bool {
 	return false
 }
 
-// pathFast reports which solve kernels a multi-column operation (Extend,
-// SolveMat) should use, without advancing the fast-path trigger. A fresh
+// pathFast reports which solve kernels a multi-column operation
+// (ExtendCols) should use, without advancing the fast-path trigger. A fresh
 // factor runs every column on the direct layout and leaves the transpose
 // cache unbuilt — preserving the "single-solve factors never pay the
-// build" invariant even when one Extend spans many columns — while a
+// build" invariant even when one extension spans many columns — while a
 // factor that has already served at least one solve (or inherited its
 // parent's cache) gets the cached layout, building it if needed: this is
 // at least its second use. Both paths produce identical bits, so the
@@ -552,46 +525,6 @@ func (c *Cholesky) backSolveDirect(y []float64) {
 	}
 }
 
-// SolveMat solves A·X = B column-wise and returns X. The solve path is
-// chosen once up front via pathFast, so a fresh factor runs every column
-// on the direct layout without building the transpose cache or advancing
-// the fast-path trigger.
-func (c *Cholesky) SolveMat(b *Dense) *Dense {
-	if b.rows != c.n {
-		panic(fmt.Sprintf("mat: cholesky solve rows %d != %d", b.rows, c.n))
-	}
-	fast := c.pathFast()
-	n := c.n
-	x := NewDense(b.rows, b.cols, nil)
-	col := make([]float64, n)
-	for j := 0; j < b.cols; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = b.data[i*b.cols+j]
-		}
-		if fast {
-			c.forwardSolve(col)
-			c.backSolve(col)
-		} else {
-			c.forwardSolveDirect(col)
-			c.backSolveDirect(col)
-		}
-		for i := 0; i < n; i++ {
-			x.data[i*b.cols+j] = col[i]
-		}
-	}
-	return x
-}
-
-// Inverse returns A⁻¹ explicitly via the triangular inverse
-// A⁻¹ = L⁻ᵀ·L⁻¹. This is an O(n³) operation (roughly 3× cheaper than
-// solving against the identity); prefer the solve methods when only
-// products with A⁻¹ are needed, and InverseInto when scratch can be
-// reused.
-func (c *Cholesky) Inverse() *Dense {
-	n := c.n
-	return c.InverseInto(NewDense(n, n, nil), NewDense(n, n, nil))
-}
-
 // invParallelN is the factor order at or above which InverseInto splits
 // its two phases over deterministic row bands (invRowBand rows each) via
 // parallel.ForEachBand. Unlike the banded LML gradient there is no
@@ -603,16 +536,16 @@ func (c *Cholesky) Inverse() *Dense {
 // banded branch onto small fixtures.
 var invParallelN = 512
 
-// invRowBand is the row-band width of the parallel inverse split,
-// matching mulRowChunk's granularity.
+// invRowBand is the row-band width of the parallel inverse split.
 const invRowBand = 64
 
 // InverseInto computes A⁻¹ into inv, using wt as scratch for L⁻ᵀ; both
 // must be n×n, and inv is returned. Every cell either matrix contributes
 // is overwritten before it is read, so neither needs to be zeroed —
-// pooled fit workspaces hand in dirty scratch. The arithmetic is
-// identical to Inverse; above invParallelN both phases run over parallel
-// row bands with bitwise-identical results (TestInverseIntoParallelBitIdentity).
+// pooled fit workspaces hand in dirty scratch. This is an O(n³)
+// operation; prefer the solve methods when only products with A⁻¹ are
+// needed. Above invParallelN both phases run over parallel row bands with
+// bitwise-identical results (TestInverseIntoParallelBitIdentity).
 func (c *Cholesky) InverseInto(inv, wt *Dense) *Dense {
 	n := c.n
 	if inv.rows != n || inv.cols != n {
@@ -687,49 +620,29 @@ func (c *Cholesky) invProductRows(inv, wt *Dense, lo, hi int) {
 	}
 }
 
-// Extend returns a new Cholesky of the (n+m)×(n+m) matrix
+// ExtendCols returns a new Cholesky of the (n+m)×(n+m) matrix
 //
 //	[ A   B ]
 //	[ Bᵀ  C ]
 //
-// given the factor of A, the n×m cross block B and the m×m block C. It costs
-// O(n²m + m³) instead of O((n+m)³), which makes Kriging-Believer fantasy
-// updates cheap. The same jitter escalation as NewCholesky is applied to the
-// new diagonal block if needed.
-func (c *Cholesky) Extend(b *Dense, cc *Dense) (*Cholesky, error) {
-	n, m := c.n, cc.rows
-	if b.rows != n || b.cols != m || cc.cols != m {
-		panic(fmt.Sprintf("mat: extend dims B=%d×%d C=%d×%d for n=%d", b.rows, b.cols, cc.rows, cc.cols, n))
-	}
-	// Transpose B once, over square tiles, into the contiguous layout the
-	// extension solves consume: w row j holds column j of B. The per-column
-	// At striding of the old implementation is gone — each solve now
-	// streams one contiguous row.
-	w := NewDense(m, n, nil)
-	const tile = 32
-	bd := b.data
-	wd := w.data
-	for ib := 0; ib < n; ib += tile {
-		imax := min(ib+tile, n)
-		for jb := 0; jb < m; jb += tile {
-			jmax := min(jb+tile, m)
-			for i := ib; i < imax; i++ {
-				row := bd[i*m+jb : i*m+jmax]
-				for jo, v := range row {
-					wd[(jb+jo)*n+i] = v
-				}
-			}
-		}
-	}
-	return c.extendW(w, cc)
-}
-
-// ExtendCols is Extend taking the cross block B as a flat column-major
-// slice: column j of B occupies bcols[j*n : (j+1)*n]. This is the
-// contiguous fast path for callers that already hold columns — a k★
-// vector from a fantasy update is exactly one such column — and skips
-// the transpose pass Extend performs on a row-major B. bcols is left
-// unmodified.
+// given the factor of A, the n×m cross block B as a flat column-major
+// slice (column j of B occupies bcols[j*n : (j+1)*n]) and the m×m block
+// C. A k★ vector from a fantasy update is exactly one such column. It
+// costs O(n²m + m³) instead of O((n+m)³), which makes Kriging-Believer
+// fantasy updates cheap; the same jitter escalation as NewCholesky is
+// applied to the new diagonal block if needed. bcols is left unmodified.
+//
+// The forward solve path is chosen once up front via pathFast: a fresh
+// factor runs every column on the direct layout without building the
+// transpose cache or advancing the fast-path trigger, so extending a
+// single-solve parent never pays the O(n²) build — both paths produce
+// identical bits.
+//
+// When the parent does hold a transpose cache, the child inherits it: the
+// packed column-major prefix covers exactly the leading parent rows the
+// child's packed rows replicate, so the child solves on the fast path
+// from birth and a Kriging-Believer fantasy chain of any length shares
+// the single root cache build instead of paying one per link.
 func (c *Cholesky) ExtendCols(bcols []float64, cc *Dense) (*Cholesky, error) {
 	n, m := c.n, cc.rows
 	if cc.cols != m {
@@ -738,26 +651,10 @@ func (c *Cholesky) ExtendCols(bcols []float64, cc *Dense) (*Cholesky, error) {
 	if len(bcols) != n*m {
 		panic(fmt.Sprintf("mat: extend column block length %d != n %d × m %d", len(bcols), n, m))
 	}
+	// w row j holds column j of B and is overwritten in place with the
+	// solved row of W = L⁻¹B.
 	w := NewDense(m, n, nil)
 	copy(w.data, bcols)
-	return c.extendW(w, cc)
-}
-
-// extendW implements the extension given w, whose row j holds column j
-// of the cross block B on entry; rows are overwritten in place with the
-// solved W = L⁻¹B rows (the single reused solve buffer). The forward
-// solve path is chosen once up front via pathFast: a fresh factor runs
-// every column on the direct layout without building the transpose cache
-// or advancing the fast-path trigger, so Extend on a single-solve parent
-// never pays the O(n²) build — both paths produce identical bits.
-//
-// When the parent does hold a transpose cache, the child inherits it: the
-// packed column-major prefix covers exactly the leading parent rows the
-// child's packed rows replicate, so the child solves on the fast path
-// from birth and a Kriging-Believer fantasy chain of any length shares
-// the single root cache build instead of paying one per link.
-func (c *Cholesky) extendW(w *Dense, cc *Dense) (*Cholesky, error) {
-	n, m := c.n, cc.rows
 	nm := n + m
 	out := &Cholesky{n: nm, l: make([]float64, packedLen(nm))}
 	// The packed row-major layout is prefix-closed: rows 0..n−1 of the

@@ -2,89 +2,87 @@ package mat
 
 import (
 	"math"
-	//lint:ignore norand in-package mat tests cannot import repro/internal/rng (rng depends on mat); the raw PCG here is still fixed-seed deterministic
-	"math/rand/v2"
 	"testing"
 )
 
 // TestExtendFreshFactorSkipsTransposeBuild is the regression test for the
-// useFast misfire: Extend on a never-solved factor used to flip from the
+// useFast misfire: extending a never-solved factor used to flip from the
 // direct to the transposed solve path mid-loop over its m columns,
 // force-building the O(n²) Lᵀ cache for a throwaway parent. A fresh
-// factor must come out of Extend (and SolveMat) with lt unbuilt and the
-// fast-path trigger untouched.
+// factor must come out of ExtendCols with lt unbuilt and the fast-path
+// trigger untouched.
 func TestExtendFreshFactorSkipsTransposeBuild(t *testing.T) {
-	rng := rand.New(rand.NewPCG(5, 21))
+	rng := newTestRand(5, 21)
 	const n, m = 24, 3
 	c := freshFactor(t, rng, n)
 
-	b := randomDense(rng, n, m)
+	bcols := colMajor(randomDense(rng, n, m))
 	cc := spdBlock(rng, m, float64(n))
-	if _, err := c.Extend(b, cc); err != nil {
-		t.Fatalf("Extend: %v", err)
+	if _, err := c.ExtendCols(bcols, cc); err != nil {
+		t.Fatalf("ExtendCols: %v", err)
 	}
 	if c.ltp.Load() != nil {
-		t.Fatal("Extend on a fresh factor built the transpose cache")
+		t.Fatal("ExtendCols on a fresh factor built the transpose cache")
 	}
 	if c.solved.Load() {
-		t.Fatal("Extend on a fresh factor advanced the fast-path trigger")
-	}
-
-	c2 := freshFactor(t, rng, n)
-	c2.SolveMat(randomDense(rng, n, m))
-	if c2.ltp.Load() != nil {
-		t.Fatal("SolveMat on a fresh factor built the transpose cache")
-	}
-	if c2.solved.Load() {
-		t.Fatal("SolveMat on a fresh factor advanced the fast-path trigger")
+		t.Fatal("ExtendCols on a fresh factor advanced the fast-path trigger")
 	}
 
 	// A factor that HAS crossed the trigger must still take the fast path
-	// inside Extend: pathFast builds the cache once up front.
+	// inside ExtendCols: pathFast builds the cache once up front.
 	c3 := freshFactor(t, rng, n)
 	c3.SolveVec(randomVec(rng, n)) // first solve: marks solved
-	if _, err := c3.Extend(b, cc); err != nil {
-		t.Fatalf("Extend: %v", err)
+	if _, err := c3.ExtendCols(bcols, cc); err != nil {
+		t.Fatalf("ExtendCols: %v", err)
 	}
 	if c3.ltp.Load() == nil {
-		t.Fatal("Extend on a solved factor did not use the transposed layout")
+		t.Fatal("ExtendCols on a solved factor did not use the transposed layout")
 	}
 }
 
-// TestExtendColsMatchesExtend: the flat column-major entry point must be
-// bitwise-identical to the Dense one — it is the same computation minus
-// the transpose pass — and must leave the input slice untouched.
+// TestExtendColsMatchesExtend: the extension must agree with NewCholesky
+// of the assembled (n+m)×(n+m) matrix — the factor it stands in for —
+// and must leave the input slice untouched. Bit identity against the
+// dense operation DAG is TestPackedExtendMatchesDenseReference's job.
 func TestExtendColsMatchesExtend(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 2))
+	rng := newTestRand(9, 2)
 	const n, m = 19, 4
 	parent := randomSPD(rng, n)
 	b := randomDense(rng, n, m)
 	cc := spdBlock(rng, m, float64(n))
 
-	bcols := make([]float64, n*m)
-	for j := 0; j < m; j++ {
-		for i := 0; i < n; i++ {
-			bcols[j*n+i] = b.At(i, j)
-		}
-	}
+	bcols := colMajor(b)
 	orig := append([]float64(nil), bcols...)
 
-	extD, err := factorOf(t, parent).Extend(b, cc)
-	if err != nil {
-		t.Fatalf("Extend: %v", err)
-	}
 	extC, err := factorOf(t, parent).ExtendCols(bcols, cc)
 	if err != nil {
 		t.Fatalf("ExtendCols: %v", err)
 	}
-	bitsEqual(t, extC.L(), extD.L(), "ExtendCols vs Extend")
+	full := NewDense(n+m, n+m, nil)
+	for i := 0; i < n+m; i++ {
+		for j := 0; j < n+m; j++ {
+			switch {
+			case i < n && j < n:
+				full.Set(i, j, parent.At(i, j))
+			case i < n:
+				full.Set(i, j, b.At(i, j-n))
+			case j < n:
+				full.Set(i, j, b.At(j, i-n))
+			default:
+				full.Set(i, j, cc.At(i-n, j-n))
+			}
+		}
+	}
+	if d := maxDiff(extC.L(), factorOf(t, full).L()); d > 1e-10 {
+		t.Fatalf("ExtendCols differs from the assembled factor by %v", d)
+	}
 	for i := range bcols {
 		if math.Float64bits(bcols[i]) != math.Float64bits(orig[i]) {
 			t.Fatalf("ExtendCols mutated its input at %d", i)
 		}
 	}
 
-	// Bad shapes panic, matching Extend's contract.
+	// Bad shapes panic.
 	mustPanic(t, "short column block", func() {
 		//lint:ignore errcheck the call panics before returning; there is no error to check
 		_, _ = factorOf(t, parent).ExtendCols(bcols[:n*m-1], cc)
@@ -100,29 +98,29 @@ func TestExtendColsMatchesExtend(t *testing.T) {
 // identical bits — the two solve layouts execute the same floating-point
 // operation DAG, which is what makes the up-front path choice trace-safe.
 func TestExtendPathsAgree(t *testing.T) {
-	rng := rand.New(rand.NewPCG(13, 4))
+	rng := newTestRand(13, 4)
 	const n, m = 31, 2
 	parent := randomSPD(rng, n)
-	b := randomDense(rng, n, m)
+	bcols := colMajor(randomDense(rng, n, m))
 	cc := spdBlock(rng, m, float64(n))
 
-	extDirect, err := factorOf(t, parent).Extend(b, cc)
+	extDirect, err := factorOf(t, parent).ExtendCols(bcols, cc)
 	if err != nil {
-		t.Fatalf("Extend (direct): %v", err)
+		t.Fatalf("ExtendCols (direct): %v", err)
 	}
 	solvedParent := factorOf(t, parent)
 	solvedParent.SolveVec(randomVec(rng, n))
-	extFast, err := solvedParent.Extend(b, cc)
+	extFast, err := solvedParent.ExtendCols(bcols, cc)
 	if err != nil {
-		t.Fatalf("Extend (fast): %v", err)
+		t.Fatalf("ExtendCols (fast): %v", err)
 	}
-	bitsEqual(t, extFast.L(), extDirect.L(), "fast vs direct Extend")
+	bitsEqual(t, extFast.L(), extDirect.L(), "fast vs direct ExtendCols")
 }
 
 // TestCholeskyFromLower covers the test-fixture constructor used to build
 // large synthetic factors without an O(n³) factorization.
 func TestCholeskyFromLower(t *testing.T) {
-	rng := rand.New(rand.NewPCG(17, 8))
+	rng := newTestRand(17, 8)
 	const n = 16
 	ref := freshFactor(t, rng, n)
 
@@ -130,8 +128,8 @@ func TestCholeskyFromLower(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CholeskyFromLower: %v", err)
 	}
-	if c.Size() != n {
-		t.Fatalf("Size = %d, want %d", c.Size(), n)
+	if c.n != n {
+		t.Fatalf("order = %d, want %d", c.n, n)
 	}
 	rhs := randomVec(rng, n)
 	got, want := c.SolveVec(rhs), ref.SolveVec(rhs)
@@ -141,7 +139,7 @@ func TestCholeskyFromLower(t *testing.T) {
 		}
 	}
 	// Upper-triangle garbage in the input must be ignored.
-	dirty := ref.L().Clone()
+	dirty := ref.L()
 	dirty.Set(0, n-1, math.NaN())
 	c2, err := CholeskyFromLower(dirty)
 	if err != nil {
@@ -151,7 +149,7 @@ func TestCholeskyFromLower(t *testing.T) {
 
 	// Invalid diagonals are rejected, not deferred to a later solve.
 	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1)} {
-		l := ref.L().Clone()
+		l := ref.L()
 		l.Set(3, 3, bad)
 		if _, err := CholeskyFromLower(l); err == nil {
 			t.Fatalf("CholeskyFromLower accepted diagonal %v", bad)
@@ -175,7 +173,7 @@ func mustPanic(t *testing.T, label string, fn func()) {
 }
 
 // freshFactor builds an n×n SPD factor that has never been solved.
-func freshFactor(t *testing.T, rng *rand.Rand, n int) *Cholesky {
+func freshFactor(t *testing.T, rng *testRand, n int) *Cholesky {
 	t.Helper()
 	return factorOf(t, randomSPD(rng, n))
 }
@@ -192,7 +190,7 @@ func factorOf(t *testing.T, a *Dense) *Cholesky {
 }
 
 // spdBlock builds an m×m SPD corner block with diagonal dominance ~diag.
-func spdBlock(rng *rand.Rand, m int, diag float64) *Dense {
+func spdBlock(rng *testRand, m int, diag float64) *Dense {
 	cc := NewDense(m, m, nil)
 	for i := 0; i < m; i++ {
 		for j := 0; j <= i; j++ {

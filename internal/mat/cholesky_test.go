@@ -2,22 +2,14 @@ package mat
 
 import (
 	"math"
-	//lint:ignore norand in-package mat tests cannot import repro/internal/rng (rng depends on mat); the raw PCG here is still fixed-seed deterministic
-	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
 
-// newTestRand returns a fixed-seed PCG stream for in-package property
-// tests. Living here keeps the math/rand/v2 import (and its norand
-// waiver) in one place; sibling test files call this and let type
-// inference carry the stream.
-func newTestRand(seed1, seed2 uint64) *rand.Rand { return rand.New(rand.NewPCG(seed1, seed2)) }
-
 // randomSPD builds a random symmetric positive-definite matrix A = GᵀG + n·I.
-func randomSPD(rng *rand.Rand, n int) *Dense {
+func randomSPD(rng *testRand, n int) *Dense {
 	g := randomDense(rng, n, n)
-	a := Mul(g.T(), g)
+	a := mulRef(transposeRef(g), g)
 	for i := 0; i < n; i++ {
 		a.Add(i, i, float64(n))
 	}
@@ -37,14 +29,14 @@ func maxDiff(a, b *Dense) float64 {
 }
 
 func TestCholeskyReconstruction(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 7))
+	rng := newTestRand(7, 7)
 	for _, n := range []int{1, 2, 5, 20, 50} {
 		a := randomSPD(rng, n)
 		c, err := NewCholesky(a, 0, 0)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		recon := Mul(c.L(), c.L().T())
+		recon := mulRef(c.L(), transposeRef(c.L()))
 		if d := maxDiff(a, recon); d > 1e-8*float64(n) {
 			t.Fatalf("n=%d: reconstruction error %v", n, d)
 		}
@@ -52,10 +44,10 @@ func TestCholeskyReconstruction(t *testing.T) {
 }
 
 func TestCholeskySolveVec(t *testing.T) {
-	rng := rand.New(rand.NewPCG(8, 8))
+	rng := newTestRand(8, 8)
 	a := randomSPD(rng, 12)
 	xTrue := randomVec(rng, 12)
-	b := MulVec(a, xTrue)
+	b := mulVecRef(a, xTrue)
 	c, err := NewCholesky(a, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -69,14 +61,14 @@ func TestCholeskySolveVec(t *testing.T) {
 }
 
 func TestCholeskySolveMatAndInverse(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 9))
+	rng := newTestRand(9, 9)
 	a := randomSPD(rng, 8)
 	c, err := NewCholesky(a, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inv := c.Inverse()
-	prod := Mul(a, inv)
+	inv := inverse(c)
+	prod := mulRef(a, inv)
 	if d := maxDiff(prod, Identity(8)); d > 1e-9 {
 		t.Fatalf("A·A⁻¹ differs from I by %v", d)
 	}
@@ -99,7 +91,7 @@ func TestCholeskyLogDet(t *testing.T) {
 }
 
 func TestCholeskyForwardBack(t *testing.T) {
-	rng := rand.New(rand.NewPCG(10, 10))
+	rng := newTestRand(10, 10)
 	a := randomSPD(rng, 6)
 	c, err := NewCholesky(a, 0, 0)
 	if err != nil {
@@ -107,7 +99,7 @@ func TestCholeskyForwardBack(t *testing.T) {
 	}
 	b := randomVec(rng, 6)
 	// back(forward(b)) should equal SolveVec(b).
-	y := c.ForwardSolveVec(b)
+	y := c.ForwardSolveVecInto(make([]float64, 6), b)
 	x := c.BackSolveVec(y)
 	x2 := c.SolveVec(b)
 	for i := range x {
@@ -116,7 +108,7 @@ func TestCholeskyForwardBack(t *testing.T) {
 		}
 	}
 	// L·forward(b) == b
-	lb := MulVec(c.L(), y)
+	lb := mulVecRef(c.L(), y)
 	for i := range lb {
 		if !almostEq(lb[i], b[i], 1e-10) {
 			t.Fatal("forward solve incorrect")
@@ -127,14 +119,14 @@ func TestCholeskyForwardBack(t *testing.T) {
 func TestCholeskyJitterRecovery(t *testing.T) {
 	// Rank-deficient matrix needs jitter; it must factorize with jitter > 0.
 	n := 5
-	x := randomVec(rand.New(rand.NewPCG(11, 11)), n)
+	x := randomVec(newTestRand(11, 11), n)
 	a := NewDense(n, n, nil)
 	a.SymOuterUpdate(1, x) // rank one
 	c, err := NewCholesky(a, 1e-8, 1)
 	if err != nil {
 		t.Fatalf("jitter escalation failed: %v", err)
 	}
-	if c.Jitter() <= 0 {
+	if c.jitter <= 0 {
 		t.Fatal("expected nonzero jitter for singular matrix")
 	}
 }
@@ -147,7 +139,7 @@ func TestCholeskyNotPD(t *testing.T) {
 }
 
 func TestCholeskyExtend(t *testing.T) {
-	rng := rand.New(rand.NewPCG(12, 12))
+	rng := newTestRand(12, 12)
 	for _, tc := range []struct{ n, m int }{{3, 1}, {5, 2}, {10, 4}, {1, 1}} {
 		full := randomSPD(rng, tc.n+tc.m)
 		// Split into blocks.
@@ -171,7 +163,7 @@ func TestCholeskyExtend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ext, err := ca.Extend(b, cc)
+		ext, err := ca.ExtendCols(colMajor(b), cc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +178,7 @@ func TestCholeskyExtend(t *testing.T) {
 }
 
 func TestCholeskyExtendSolveConsistency(t *testing.T) {
-	rng := rand.New(rand.NewPCG(13, 13))
+	rng := newTestRand(13, 13)
 	full := randomSPD(rng, 9)
 	a := NewDense(6, 6, nil)
 	b := NewDense(6, 3, nil)
@@ -208,13 +200,13 @@ func TestCholeskyExtendSolveConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := ca.Extend(b, cc)
+	ext, err := ca.ExtendCols(colMajor(b), cc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rhs := randomVec(rng, 9)
 	x := ext.SolveVec(rhs)
-	back := MulVec(full, x)
+	back := mulVecRef(full, x)
 	for i := range rhs {
 		if !almostEq(back[i], rhs[i], 1e-8) {
 			t.Fatalf("extend solve mismatch: %v vs %v", back[i], rhs[i])
@@ -225,7 +217,7 @@ func TestCholeskyExtendSolveConsistency(t *testing.T) {
 // Property: for any SPD matrix, solving then multiplying round-trips.
 func TestCholeskySolveProperty(t *testing.T) {
 	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 99))
+		rng := newTestRand(seed, 99)
 		n := 1 + int(rng.Uint64()%12)
 		a := randomSPD(rng, n)
 		c, err := NewCholesky(a, 0, 0)
@@ -234,7 +226,7 @@ func TestCholeskySolveProperty(t *testing.T) {
 		}
 		b := randomVec(rng, n)
 		x := c.SolveVec(b)
-		ax := MulVec(a, x)
+		ax := mulVecRef(a, x)
 		for i := range b {
 			if !almostEq(ax[i], b[i], 1e-7) {
 				return false
@@ -250,7 +242,7 @@ func TestCholeskySolveProperty(t *testing.T) {
 // Property: LogDet matches the product of squared diagonal factor entries.
 func TestCholeskyLogDetProperty(t *testing.T) {
 	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 7))
+		rng := newTestRand(seed, 7)
 		n := 1 + int(rng.Uint64()%8)
 		a := randomSPD(rng, n)
 		c, err := NewCholesky(a, 0, 0)
@@ -269,7 +261,7 @@ func TestCholeskyLogDetProperty(t *testing.T) {
 }
 
 func BenchmarkCholesky100(b *testing.B) {
-	rng := rand.New(rand.NewPCG(1, 1))
+	rng := newTestRand(1, 1)
 	a := randomSPD(rng, 100)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -280,7 +272,7 @@ func BenchmarkCholesky100(b *testing.B) {
 }
 
 func BenchmarkCholeskyExtend100x4(b *testing.B) {
-	rng := rand.New(rand.NewPCG(2, 2))
+	rng := newTestRand(2, 2)
 	full := randomSPD(rng, 104)
 	a := NewDense(100, 100, nil)
 	bb := NewDense(100, 4, nil)
@@ -302,9 +294,10 @@ func BenchmarkCholeskyExtend100x4(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	bcols := colMajor(bb)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ca.Extend(bb, cc); err != nil {
+		if _, err := ca.ExtendCols(bcols, cc); err != nil {
 			b.Fatal(err)
 		}
 	}

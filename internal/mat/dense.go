@@ -7,14 +7,11 @@
 package mat
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 
 	"repro/internal/fp"
-	"repro/internal/parallel"
 )
 
 // Dense is a row-major dense matrix.
@@ -90,283 +87,11 @@ func (m *Dense) Row(i int) []float64 {
 // Data returns the backing slice (row-major).
 func (m *Dense) Data() []float64 { return m.data }
 
-// Clone returns a deep copy of m.
-func (m *Dense) Clone() *Dense {
-	d := make([]float64, len(m.data))
-	copy(d, m.data)
-	return &Dense{rows: m.rows, cols: m.cols, data: d}
-}
-
-// CopyFrom copies the contents of src into m. Dimensions must match.
-func (m *Dense) CopyFrom(src *Dense) {
-	if m.rows != src.rows || m.cols != src.cols {
-		panic(fmt.Sprintf("mat: copy dims %d×%d != %d×%d", m.rows, m.cols, src.rows, src.cols))
-	}
-	copy(m.data, src.data)
-}
-
-// Zero sets every element to zero.
-func (m *Dense) Zero() {
-	for i := range m.data {
-		m.data[i] = 0
-	}
-}
-
 // Scale multiplies every element by s in place.
 func (m *Dense) Scale(s float64) {
 	for i := range m.data {
 		m.data[i] *= s
 	}
-}
-
-// AddScaled adds s*b to m in place. Dimensions must match.
-func (m *Dense) AddScaled(s float64, b *Dense) {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic(fmt.Sprintf("mat: addScaled dims %d×%d != %d×%d", m.rows, m.cols, b.rows, b.cols))
-	}
-	for i := range m.data {
-		m.data[i] += s * b.data[i]
-	}
-}
-
-// T returns a newly allocated transpose of m.
-func (m *Dense) T() *Dense {
-	t := NewDense(m.cols, m.rows, nil)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.data[j*t.cols+i] = v
-		}
-	}
-	return t
-}
-
-// Mul returns a*b in a fresh matrix.
-func Mul(a, b *Dense) *Dense {
-	return MulInto(NewDense(a.rows, b.cols, nil), a, b)
-}
-
-// Blocking parameters for the large-n product path. Every variant —
-// plain ikj, blocked, and the parallel row split — accumulates each
-// output element in strictly increasing k with the same fp.Zero skip, so
-// all three produce bitwise-identical results and the dispatch below is
-// free to pick purely on speed (the golden-trace tests hold either way).
-const (
-	// mulBlockCrossover is the B-operand element count at or below which
-	// MulInto keeps the plain ikj loop: small products are cache-resident
-	// and the panel machinery only adds loop overhead.
-	mulBlockCrossover = 256 * 256
-	// mulPanelK is the number of B rows fused per k-panel sweep. Each
-	// destination element is loaded and stored once per panel instead of
-	// once per k, cutting dst traffic by the panel height; the adds still
-	// land in increasing-k order, so only memory traffic is batched,
-	// never arithmetic.
-	mulPanelK = 8
-	// mulTileJ bounds the column width of a k-panel sweep so the active
-	// B panel stays cache-resident: mulPanelK×mulTileJ×8 B = 256 KiB.
-	mulTileJ = 4096
-	// mulRowChunk is the row-block granularity of the parallel split.
-	// The partition depends only on the row count, never on the worker
-	// count, and every chunk writes a disjoint destination row range.
-	mulRowChunk = 64
-)
-
-// MulInto computes a·b into dst and returns dst. dst must be a.rows×b.cols
-// and must not alias a or b; its previous contents are overwritten.
-//
-// Large products (B above mulBlockCrossover elements) run on a k-panel
-// blocked kernel, split row-wise across parallel.ForEach workers when
-// GOMAXPROCS allows; results are bitwise-identical to the plain loop for
-// every shape and worker count.
-func MulInto(dst, a, b *Dense) *Dense {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("mat: mul dims %d×%d · %d×%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	if dst.rows != a.rows || dst.cols != b.cols {
-		panic(fmt.Sprintf("mat: mul dst dims %d×%d != %d×%d", dst.rows, dst.cols, a.rows, b.cols))
-	}
-	if b.rows*b.cols <= mulBlockCrossover {
-		mulIKJ(dst, a, b)
-		return dst
-	}
-	chunks := (a.rows + mulRowChunk - 1) / mulRowChunk
-	workers := runtime.GOMAXPROCS(0)
-	if workers == 1 || chunks <= 1 {
-		mulBlockedRows(dst, a, b, 0, a.rows)
-		return dst
-	}
-	if err := parallel.ForEach(context.Background(), workers, chunks, func(c int) {
-		lo := c * mulRowChunk
-		mulBlockedRows(dst, a, b, lo, min(lo+mulRowChunk, a.rows))
-	}); err != nil {
-		panic(err) // unreachable: the background context is never cancelled
-	}
-	return dst
-}
-
-// mulIKJ is the plain ikj product: cache-friendly on row-major storage
-// and the bit-reference for the blocked variants.
-func mulIKJ(dst, a, b *Dense) {
-	dst.Zero()
-	for i := 0; i < a.rows; i++ {
-		arow := a.Row(i)
-		orow := dst.Row(i)
-		for k := 0; k < a.cols; k++ {
-			aik := arow[k]
-			if fp.Zero(aik) {
-				continue
-			}
-			brow := b.Row(k)
-			for j := range orow {
-				orow[j] += aik * brow[j]
-			}
-		}
-	}
-}
-
-// mulBlockedRows computes destination rows [lo, hi) of a·b with k-panel
-// blocking. For each j-tile it sweeps mulPanelK rows of B at a time,
-// loading and storing each destination element once per panel; the
-// panel's partial adds are applied in increasing-k order, so every output
-// element evaluates the exact floating-point operation DAG of mulIKJ
-// (same association order, same fp.Zero skips — a panel containing a
-// zero multiplier falls back to the per-k form to skip precisely the
-// same terms).
-func mulBlockedRows(dst, a, b *Dense, lo, hi int) {
-	kk, n := a.cols, b.cols
-	for i := lo; i < hi; i++ {
-		row := dst.Row(i)
-		for j := range row {
-			row[j] = 0
-		}
-	}
-	for jb := 0; jb < n; jb += mulTileJ {
-		jmax := min(jb+mulTileJ, n)
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := dst.data[i*n+jb : i*n+jmax]
-			k := 0
-			for ; k+mulPanelK <= kk; k += mulPanelK {
-				ap := arow[k : k+mulPanelK]
-				if anyZero(ap) {
-					mulScalarK(orow, b, arow, k, k+mulPanelK, jb, jmax)
-					continue
-				}
-				a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
-				a4, a5, a6, a7 := ap[4], ap[5], ap[6], ap[7]
-				b0 := b.data[k*n+jb : k*n+jmax]
-				b1 := b.data[(k+1)*n+jb : (k+1)*n+jmax]
-				b2 := b.data[(k+2)*n+jb : (k+2)*n+jmax]
-				b3 := b.data[(k+3)*n+jb : (k+3)*n+jmax]
-				b4 := b.data[(k+4)*n+jb : (k+4)*n+jmax]
-				b5 := b.data[(k+5)*n+jb : (k+5)*n+jmax]
-				b6 := b.data[(k+6)*n+jb : (k+6)*n+jmax]
-				b7 := b.data[(k+7)*n+jb : (k+7)*n+jmax]
-				b1 = b1[:len(b0)]
-				b2 = b2[:len(b0)]
-				b3 = b3[:len(b0)]
-				b4 = b4[:len(b0)]
-				b5 = b5[:len(b0)]
-				b6 = b6[:len(b0)]
-				b7 = b7[:len(b0)]
-				orow = orow[:len(b0)]
-				for j, bv := range b0 {
-					t := orow[j] + a0*bv
-					t += a1 * b1[j]
-					t += a2 * b2[j]
-					t += a3 * b3[j]
-					t += a4 * b4[j]
-					t += a5 * b5[j]
-					t += a6 * b6[j]
-					t += a7 * b7[j]
-					orow[j] = t
-				}
-			}
-			if k < kk {
-				mulScalarK(orow, b, arow, k, kk, jb, jmax)
-			}
-		}
-	}
-}
-
-// mulScalarK applies B rows [k0, k1) to one destination row segment in
-// the per-k form — the panel fallback and remainder path, identical to
-// the inner loops of mulIKJ.
-func mulScalarK(orow []float64, b *Dense, arow []float64, k0, k1, jb, jmax int) {
-	n := b.cols
-	for k := k0; k < k1; k++ {
-		aik := arow[k]
-		if fp.Zero(aik) {
-			continue
-		}
-		brow := b.data[k*n+jb : k*n+jmax]
-		brow = brow[:len(orow)]
-		for j, bv := range brow {
-			orow[j] += aik * bv
-		}
-	}
-}
-
-// anyZero reports whether the panel multipliers contain an exact zero,
-// which forces the per-k fallback so the fp.Zero skip semantics of the
-// plain loop are preserved bit-for-bit.
-func anyZero(s []float64) bool {
-	for _, v := range s {
-		if fp.Zero(v) {
-			return true
-		}
-	}
-	return false
-}
-
-// MulVec returns a·x as a new vector.
-func MulVec(a *Dense, x []float64) []float64 {
-	return MulVecInto(make([]float64, a.rows), a, x)
-}
-
-// MulVecInto computes a·x into dst (length a.rows) and returns dst. dst
-// must not alias x.
-func MulVecInto(dst []float64, a *Dense, x []float64) []float64 {
-	if a.cols != len(x) {
-		panic(fmt.Sprintf("mat: mulvec dims %d×%d · %d", a.rows, a.cols, len(x)))
-	}
-	if len(dst) != a.rows {
-		panic(fmt.Sprintf("mat: mulvec dst length %d != %d", len(dst), a.rows))
-	}
-	for i := 0; i < a.rows; i++ {
-		dst[i] = Dot(a.Row(i), x)
-	}
-	return dst
-}
-
-// MulVecT returns aᵀ·x as a new vector.
-func MulVecT(a *Dense, x []float64) []float64 {
-	return MulVecTInto(make([]float64, a.cols), a, x)
-}
-
-// MulVecTInto computes aᵀ·x into dst (length a.cols) and returns dst. dst
-// must not alias x; its previous contents are overwritten.
-func MulVecTInto(dst []float64, a *Dense, x []float64) []float64 {
-	if a.rows != len(x) {
-		panic(fmt.Sprintf("mat: mulvecT dims %d×%d ᵀ· %d", a.rows, a.cols, len(x)))
-	}
-	if len(dst) != a.cols {
-		panic(fmt.Sprintf("mat: mulvecT dst length %d != %d", len(dst), a.cols))
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for i := 0; i < a.rows; i++ {
-		xi := x[i]
-		if fp.Zero(xi) {
-			continue
-		}
-		row := a.Row(i)
-		for j, v := range row {
-			dst[j] += xi * v
-		}
-	}
-	return dst
 }
 
 // Dot returns the inner product of a and b.
@@ -426,34 +151,6 @@ func CloneVec(x []float64) []float64 {
 	return out
 }
 
-// Trace returns the trace of a square matrix.
-func (m *Dense) Trace() float64 {
-	if m.rows != m.cols {
-		panic(fmt.Sprintf("mat: trace of non-square %d×%d", m.rows, m.cols))
-	}
-	var t float64
-	for i := 0; i < m.rows; i++ {
-		t += m.data[i*m.cols+i]
-	}
-	return t
-}
-
-// TraceMul returns tr(a·b) without forming the product. a must be r×c and b
-// c×r.
-func TraceMul(a, b *Dense) float64 {
-	if a.cols != b.rows || a.rows != b.cols {
-		panic(fmt.Sprintf("mat: traceMul dims %d×%d · %d×%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	var t float64
-	for i := 0; i < a.rows; i++ {
-		arow := a.Row(i)
-		for k, v := range arow {
-			t += v * b.data[k*b.cols+i]
-		}
-	}
-	return t
-}
-
 // SymOuterUpdate computes m += s * x xᵀ for square m.
 func (m *Dense) SymOuterUpdate(s float64, x []float64) {
 	if m.rows != m.cols || m.rows != len(x) {
@@ -466,17 +163,6 @@ func (m *Dense) SymOuterUpdate(s float64, x []float64) {
 			row[j] += sxi * xj
 		}
 	}
-}
-
-// MaxAbs returns the largest absolute element of m, or 0 for an empty matrix.
-func (m *Dense) MaxAbs() float64 {
-	var mx float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // String renders a small matrix for debugging.

@@ -1,50 +1,13 @@
 package mat
 
-import (
-	//lint:ignore norand in-package mat benches cannot import repro/internal/rng (rng depends on mat); the raw PCG here is still fixed-seed deterministic
-	"math/rand/v2"
-	"testing"
-)
-
-// The MulInto trio pins the blocked path's speedup over the ikj
-// reference at the ≥1024-point scale bench.sh gates on: the -check floor
-// requires BenchmarkMulInto1024 to stay at or below 1.10× the naive
-// time, so the dispatch can never silently regress to slower-than-naive.
-
-func benchMulFixture(n int) (a, b, dst *Dense) {
-	rng := rand.New(rand.NewPCG(42, uint64(n)))
-	return randomDense(rng, n, n), randomDense(rng, n, n), NewDense(n, n, nil)
-}
-
-func BenchmarkMulIntoNaive1024(b *testing.B) {
-	x, y, dst := benchMulFixture(1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mulIKJ(dst, x, y)
-	}
-}
-
-func BenchmarkMulIntoBlocked1024(b *testing.B) {
-	x, y, dst := benchMulFixture(1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mulBlockedRows(dst, x, y, 0, x.rows)
-	}
-}
-
-func BenchmarkMulInto1024(b *testing.B) {
-	x, y, dst := benchMulFixture(1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulInto(dst, x, y)
-	}
-}
+import "testing"
 
 // benchExtendFixture builds a well-conditioned n×n factor without the
-// O(n³) factorization, plus an m-column cross block in both layouts.
-func benchExtendFixture(b *testing.B, n, m int) (*Cholesky, *Dense, []float64, *Dense) {
+// O(n³) factorization, plus an m-column cross block in column-major
+// layout.
+func benchExtendFixture(b *testing.B, n, m int) (*Cholesky, []float64, *Dense) {
 	b.Helper()
-	rng := rand.New(rand.NewPCG(7, uint64(n)))
+	rng := newTestRand(7, uint64(n))
 	l := NewDense(n, n, nil)
 	for i := 0; i < n; i++ {
 		row := l.Row(i)
@@ -61,37 +24,19 @@ func benchExtendFixture(b *testing.B, n, m int) (*Cholesky, *Dense, []float64, *
 	for i, v := range bm.Data() {
 		bm.Data()[i] = 0.1 * v // keep the Schur complement comfortably PD
 	}
-	bcols := make([]float64, n*m)
-	for j := 0; j < m; j++ {
-		for i := 0; i < n; i++ {
-			bcols[j*n+i] = bm.At(i, j)
-		}
-	}
+	bcols := colMajor(bm)
 	cc := NewDense(m, m, nil)
 	for i := 0; i < m; i++ {
 		cc.Set(i, i, float64(n))
 	}
-	return c, bm, bcols, cc
+	return c, bcols, cc
 }
 
-// Extend on a fresh (never-solved) parent — the Kriging-Believer
-// throwaway-parent case the fast-path bugfix targets: every iteration
-// runs the direct solve layout and must not build the transpose cache.
-func BenchmarkExtend1024(b *testing.B) {
-	c, bm, _, cc := benchExtendFixture(b, 1024, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Extend(bm, cc); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if c.ltp.Load() != nil {
-		b.Fatal("Extend built the transpose cache on a fresh factor")
-	}
-}
-
+// ExtendCols on a fresh (never-solved) parent — the Kriging-Believer
+// throwaway-parent case: every iteration runs the direct solve layout and
+// must not build the transpose cache.
 func BenchmarkExtendCols1024(b *testing.B) {
-	c, _, bcols, cc := benchExtendFixture(b, 1024, 2)
+	c, bcols, cc := benchExtendFixture(b, 1024, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.ExtendCols(bcols, cc); err != nil {

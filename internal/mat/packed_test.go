@@ -8,10 +8,10 @@ import (
 
 // This file pins the packed-triangular refactor to the dense reference
 // implementation it replaced: in-test dense re-implementations of
-// factorize, both solve layouts, Inverse and Extend evaluate the exact
-// floating-point operation DAG the pre-packed code ran, and every packed
-// result must match them bit for bit on random SPD inputs. The packed
-// layout is allowed to change addresses, never arithmetic.
+// factorize, both solve layouts, InverseInto and ExtendCols evaluate the
+// exact floating-point operation DAG the pre-packed code ran, and every
+// packed result must match them bit for bit on random SPD inputs. The
+// packed layout is allowed to change addresses, never arithmetic.
 
 // denseRefFactor is the pre-packed textbook factorization of a + jitter·I
 // into a dense lower triangle.
@@ -123,7 +123,7 @@ func TestPackedFactorizeMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: NewCholesky: %v", n, err)
 		}
-		ref := denseRefFactor(t, a, c.Jitter())
+		ref := denseRefFactor(t, a, c.jitter)
 		bitsEqual(t, c.L(), ref, "packed vs dense factor")
 		// LogDet reads packed pivots; cross-check against dense pivots.
 		var want float64
@@ -151,14 +151,14 @@ func TestPackedSolvesMatchDense(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: NewCholesky: %v", n, err)
 		}
-		ref := denseRefFactor(t, a, c.Jitter())
+		ref := denseRefFactor(t, a, c.jitter)
 		b := randomVec(rng, n)
 
 		want := append([]float64(nil), b...)
 		denseRefForward(ref, want)
-		fwdDirect := c.ForwardSolveVec(b) // first solve: direct layout
+		fwdDirect := c.ForwardSolveVecInto(make([]float64, n), b) // first solve: direct layout
 		vecBitsEqual(t, fwdDirect, want, "direct forward solve")
-		fwdFast := c.ForwardSolveVec(b) // second solve: builds + uses the cache
+		fwdFast := c.ForwardSolveVecInto(make([]float64, n), b) // second solve: builds + uses the cache
 		if !c.HasTransposeCache() {
 			t.Fatalf("n=%d: second solve did not build the cache", n)
 		}
@@ -183,38 +183,21 @@ func TestPackedSolvesMatchDense(t *testing.T) {
 	}
 }
 
-// TestPackedSolveMatAndInverseMatchDense: the multi-column entry points
-// run the same kernels column by column; Inverse runs the two-phase
-// triangular inverse on packed reads. Both must match the dense
-// references bitwise, and InverseInto must be indifferent to dirty
-// scratch.
+// TestPackedSolveMatAndInverseMatchDense: InverseInto runs the two-phase
+// triangular inverse on packed reads and must match the dense reference
+// bitwise; InverseInto must be indifferent to dirty scratch.
 func TestPackedSolveMatAndInverseMatchDense(t *testing.T) {
 	rng := newTestRand(51, 3)
-	const n, m = 23, 4
+	const n = 23
 	a := randomSPD(rng, n)
 	c, err := NewCholesky(a, 0, 0)
 	if err != nil {
 		t.Fatalf("NewCholesky: %v", err)
 	}
-	ref := denseRefFactor(t, a, c.Jitter())
-
-	b := randomDense(rng, n, m)
-	want := NewDense(n, m, nil)
-	col := make([]float64, n)
-	for j := 0; j < m; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = b.At(i, j)
-		}
-		denseRefForward(ref, col)
-		denseRefBack(ref, col)
-		for i := 0; i < n; i++ {
-			want.Set(i, j, col[i])
-		}
-	}
-	bitsEqual(t, c.SolveMat(b), want, "SolveMat vs dense reference")
+	ref := denseRefFactor(t, a, c.jitter)
 
 	wantInv := denseRefInverse(ref)
-	bitsEqual(t, c.Inverse(), wantInv, "Inverse vs dense reference")
+	bitsEqual(t, inverse(c), wantInv, "InverseInto vs dense reference")
 
 	inv := NewDense(n, n, nil)
 	wt := NewDense(n, n, nil)
@@ -225,7 +208,7 @@ func TestPackedSolveMatAndInverseMatchDense(t *testing.T) {
 	bitsEqual(t, c.InverseInto(inv, wt), wantInv, "InverseInto with dirty scratch")
 }
 
-// TestPackedExtendMatchesDenseReference: Extend on the packed layout must
+// TestPackedExtendMatchesDenseReference: ExtendCols on the packed layout must
 // reproduce the dense reference extension — parent copy, per-column
 // forward solves, Schur complement, corner factorization — bit for bit,
 // through both the direct path (fresh parent) and the cached path
@@ -241,7 +224,7 @@ func TestPackedExtendMatchesDenseReference(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewCholesky: %v", err)
 	}
-	ref := denseRefFactor(t, a, c.Jitter())
+	ref := denseRefFactor(t, a, c.jitter)
 
 	// Dense reference extension.
 	w := NewDense(m, n, nil)
@@ -264,7 +247,7 @@ func TestPackedExtendMatchesDenseReference(t *testing.T) {
 	if err != nil {
 		t.Fatalf("corner factor: %v", err)
 	}
-	sc := denseRefFactor(t, s, scPacked.Jitter())
+	sc := denseRefFactor(t, s, scPacked.jitter)
 	want := NewDense(n+m, n+m, nil)
 	for i := 0; i < n; i++ {
 		copy(want.Row(i)[:i+1], ref.Row(i)[:i+1])
@@ -274,22 +257,22 @@ func TestPackedExtendMatchesDenseReference(t *testing.T) {
 		copy(want.Row(n + j)[n:n+j+1], sc.Row(j)[:j+1])
 	}
 
-	ext, err := c.Extend(b, cc)
+	ext, err := c.ExtendCols(colMajor(b), cc)
 	if err != nil {
-		t.Fatalf("Extend: %v", err)
+		t.Fatalf("ExtendCols: %v", err)
 	}
-	bitsEqual(t, ext.L(), want, "packed Extend vs dense reference")
+	bitsEqual(t, ext.L(), want, "packed ExtendCols vs dense reference")
 
 	solvedParent, err := NewCholesky(a, 0, 0)
 	if err != nil {
 		t.Fatalf("NewCholesky: %v", err)
 	}
 	solvedParent.SolveVec(randomVec(rng, n))
-	extFast, err := solvedParent.Extend(b, cc)
+	extFast, err := solvedParent.ExtendCols(colMajor(b), cc)
 	if err != nil {
-		t.Fatalf("Extend (fast): %v", err)
+		t.Fatalf("ExtendCols (fast): %v", err)
 	}
-	bitsEqual(t, extFast.L(), want, "packed Extend (cached parent) vs dense reference")
+	bitsEqual(t, extFast.L(), want, "packed ExtendCols (cached parent) vs dense reference")
 }
 
 // TestInheritedPrefixSolveBitIdentity pins the mixed solve kernels: a
@@ -323,15 +306,15 @@ func TestInheritedPrefixSolveBitIdentity(t *testing.T) {
 	curFast, curDirect := root, plain
 	for link := 0; link < 3; link++ {
 		m := 1 + link%2
-		bc := randomDense(rng, curFast.Size(), m)
+		bc := colMajor(randomDense(rng, curFast.n, m))
 		cc := spdBlock(rng, m, float64(n))
-		extFast, err := curFast.Extend(bc, cc)
+		extFast, err := curFast.ExtendCols(bc, cc)
 		if err != nil {
-			t.Fatalf("link %d: Extend (fast): %v", link, err)
+			t.Fatalf("link %d: ExtendCols (fast): %v", link, err)
 		}
-		extDirect, err := curDirect.Extend(bc, cc)
+		extDirect, err := curDirect.ExtendCols(bc, cc)
 		if err != nil {
-			t.Fatalf("link %d: Extend (direct): %v", link, err)
+			t.Fatalf("link %d: ExtendCols (direct): %v", link, err)
 		}
 		if !extFast.SharesTransposeCache(root) {
 			t.Fatalf("link %d did not inherit the root cache", link)
@@ -340,21 +323,21 @@ func TestInheritedPrefixSolveBitIdentity(t *testing.T) {
 			t.Fatalf("link %d of the cache-less chain built a cache", link)
 		}
 
-		nn := extFast.Size()
+		nn := extFast.n
 		rhs := randomVec(rng, nn)
 		// The inherited factor solves on the mixed prefix+packed-row path
 		// from its first solve. The reference bits come from throwaway
 		// siblings of the cache-less child, each serving exactly one solve
 		// so none ever crosses the fast-path trigger — pure direct layout.
 		sibling := func() *Cholesky {
-			e, err := curDirect.Extend(bc, cc)
+			e, err := curDirect.ExtendCols(bc, cc)
 			if err != nil {
-				t.Fatalf("link %d: Extend (sibling): %v", link, err)
+				t.Fatalf("link %d: ExtendCols (sibling): %v", link, err)
 			}
 			return e
 		}
 		vecBitsEqual(t, extFast.SolveVec(rhs), sibling().SolveVec(rhs), "chain SolveVec")
-		vecBitsEqual(t, extFast.ForwardSolveVec(rhs), sibling().ForwardSolveVec(rhs), "chain ForwardSolveVec")
+		vecBitsEqual(t, extFast.ForwardSolveVecInto(make([]float64, nn), rhs), sibling().ForwardSolveVecInto(make([]float64, nn), rhs), "chain ForwardSolveVecInto")
 		vecBitsEqual(t, extFast.BackSolveVec(rhs), sibling().BackSolveVec(rhs), "chain BackSolveVec")
 		if math.Float64bits(extFast.LogDet()) != math.Float64bits(extDirect.LogDet()) {
 			t.Fatalf("link %d: LogDet differs", link)
@@ -368,7 +351,7 @@ func TestInheritedPrefixSolveBitIdentity(t *testing.T) {
 	if want := (packedLen(n) + packedLen(n)) * 8; rootBytes != want {
 		t.Fatalf("root FactorBytes = %d, want %d", rootBytes, want)
 	}
-	if got, want := curFast.FactorBytes(), packedLen(curFast.Size())*8; got != want {
+	if got, want := curFast.FactorBytes(), packedLen(curFast.n)*8; got != want {
 		t.Fatalf("chain FactorBytes = %d, want %d (inherited prefix must not be double-counted)", got, want)
 	}
 }
@@ -391,7 +374,7 @@ func TestRefactorizeMatchesNew(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d: NewCholesky: %v", round, err)
 		}
-		if c.Jitter() != fresh.Jitter() || c.Size() != fresh.Size() {
+		if c.jitter != fresh.jitter || c.n != fresh.n {
 			t.Fatalf("round %d: jitter/size mismatch", round)
 		}
 		bitsEqual(t, c.L(), fresh.L(), "Refactorize vs NewCholesky")
@@ -405,25 +388,24 @@ func TestRefactorizeMatchesNew(t *testing.T) {
 			// Build the cache and hand it to a child; later rounds must not
 			// disturb the child's snapshot.
 			c.SolveVec(b)
-			bc := randomDense(rng, n, 1)
+			bc := colMajor(randomDense(rng, n, 1))
 			cc := spdBlock(rng, 1, float64(n))
-			child, err = c.Extend(bc, cc)
+			child, err = c.ExtendCols(bc, cc)
 			if err != nil {
-				t.Fatalf("Extend: %v", err)
+				t.Fatalf("ExtendCols: %v", err)
 			}
-			childA = NewDense(n+1, n+1, nil)
 			lc := child.L()
-			MulInto(childA, lc, lc.T())
+			childA = mulRef(lc, transposeRef(lc))
 		}
 	}
 	if child == nil || !child.HasTransposeCache() {
 		t.Fatal("child lost its inherited cache after parent Refactorize")
 	}
 	// The child still solves correctly against its own matrix.
-	rhs := randomVec(rng, child.Size())
+	rhs := randomVec(rng, child.n)
 	x := child.SolveVec(rhs)
 	back := make([]float64, len(rhs))
-	for i := 0; i < child.Size(); i++ {
+	for i := 0; i < child.n; i++ {
 		back[i] = Dot(childA.Row(i), x)
 	}
 	for i := range rhs {
@@ -433,7 +415,6 @@ func TestRefactorizeMatchesNew(t *testing.T) {
 	}
 }
 
-// TestLRow exposes packed rows without materializing L.
 // TestInverseIntoParallelBitIdentity forces InverseInto down its banded
 // branch on a small factor and checks it reproduces the serial branch
 // byte for byte at GOMAXPROCS 1 and 8. Unlike the banded LML gradient
@@ -448,7 +429,7 @@ func TestInverseIntoParallelBitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: NewCholesky: %v", n, err)
 		}
-		want := c.Inverse() // serial: n < invParallelN
+		want := inverse(c) // serial: n < invParallelN
 
 		old := invParallelN
 		invParallelN = 1
@@ -466,17 +447,4 @@ func TestInverseIntoParallelBitIdentity(t *testing.T) {
 		}
 		invParallelN = old
 	}
-}
-
-func TestLRow(t *testing.T) {
-	rng := newTestRand(91, 23)
-	const n = 9
-	c := freshFactor(t, rng, n)
-	l := c.L()
-	for i := 0; i < n; i++ {
-		row := c.LRow(i, make([]float64, i+1))
-		vecBitsEqual(t, row, l.Row(i)[:i+1], "LRow")
-	}
-	mustPanic(t, "row out of range", func() { c.LRow(n, make([]float64, n+1)) })
-	mustPanic(t, "bad dst length", func() { c.LRow(2, make([]float64, 2)) })
 }

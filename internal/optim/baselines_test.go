@@ -106,35 +106,3 @@ func TestBaselinesDeterministicAcrossRuns(t *testing.T) {
 		t.Fatal("PSO not reproducible")
 	}
 }
-
-func TestNelderMeadQuadratic(t *testing.T) {
-	lo, hi := boxOf(3, -10, 10)
-	res := (&NelderMead{}).Minimize(sphere, []float64{4, -3, 2}, lo, hi)
-	if res.F > 1e-6 {
-		t.Fatalf("nelder-mead f = %v", res.F)
-	}
-}
-
-func TestNelderMeadRespectsBounds(t *testing.T) {
-	lo, hi := boxOf(2, 1, 2)
-	res := (&NelderMead{}).Minimize(sphere, []float64{1.5, 1.5}, lo, hi)
-	for _, v := range res.X {
-		if v < 1-1e-12 || v > 2+1e-12 {
-			t.Fatalf("nelder-mead left box: %v", res.X)
-		}
-	}
-	// Constrained optimum of sphere on [1,2]² is (1,1).
-	if math.Abs(res.X[0]-1) > 1e-4 || math.Abs(res.X[1]-1) > 1e-4 {
-		t.Fatalf("constrained optimum wrong: %v", res.X)
-	}
-}
-
-func TestNelderMeadStartNearEdge(t *testing.T) {
-	lo, hi := boxOf(2, 0, 1)
-	// Start at the upper corner: initial simplex construction must flip
-	// steps inward.
-	res := (&NelderMead{}).Minimize(sphere, []float64{1, 1}, lo, hi)
-	if res.F > 1e-6 {
-		t.Fatalf("nelder-mead from corner f = %v", res.F)
-	}
-}

@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-
-	"repro/internal/mat"
 )
 
 // Stream is a deterministic pseudo-random stream. It wraps a PCG generator
@@ -126,26 +124,6 @@ func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
 
 // Shuffle shuffles n elements using the provided swap function.
 func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
-
-// MVN draws one sample from N(mean, L·Lᵀ) where l is a lower-triangular
-// Cholesky factor of the covariance.
-func (s *Stream) MVN(mean []float64, l *mat.Dense) []float64 {
-	n := len(mean)
-	if l.Rows() != n || l.Cols() != n {
-		panic(fmt.Sprintf("rng: MVN factor %d×%d for mean of length %d", l.Rows(), l.Cols(), n))
-	}
-	z := s.NormVec(n)
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		row := l.Row(i)
-		acc := mean[i]
-		for k := 0; k <= i; k++ {
-			acc += row[k] * z[k]
-		}
-		out[i] = acc
-	}
-	return out
-}
 
 // NormICDF returns the inverse CDF (quantile function) of the standard
 // normal distribution, using the Acklam rational approximation refined by a

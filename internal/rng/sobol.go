@@ -51,9 +51,6 @@ func NewScrambledSobol(dim int, stream *Stream) *Sobol {
 	return s
 }
 
-// Dim returns the dimension of the sequence.
-func (s *Sobol) Dim() int { return s.dim }
-
 // Next appends the next point of the sequence to dst (allocating if dst is
 // nil) and returns it. Points lie in [0,1)^d.
 func (s *Sobol) Next(dst []float64) []float64 {
@@ -85,14 +82,6 @@ func (s *Sobol) Sample(n int) [][]float64 {
 		out[i] = s.Next(nil)
 	}
 	return out
-}
-
-// Skip advances the sequence by n points without emitting them.
-func (s *Sobol) Skip(n int) {
-	buf := make([]float64, s.dim)
-	for i := 0; i < n; i++ {
-		s.Next(buf)
-	}
 }
 
 func trailingZeros32(x uint32) int {

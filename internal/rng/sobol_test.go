@@ -112,19 +112,6 @@ func TestScrambledSobolDiffersByStream(t *testing.T) {
 	}
 }
 
-func TestSobolSkip(t *testing.T) {
-	a := NewSobol(3)
-	b := NewSobol(3)
-	a.Skip(17)
-	b.Sample(17)
-	pa, pb := a.Next(nil), b.Next(nil)
-	for j := range pa {
-		if pa[j] != pb[j] {
-			t.Fatal("skip and sample disagree")
-		}
-	}
-}
-
 func TestSobolNormalMoments(t *testing.T) {
 	pts := SobolNormal(4096, 6, New(2, 2))
 	for j := 0; j < 6; j++ {

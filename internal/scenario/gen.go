@@ -110,9 +110,6 @@ func NewGenerator(base uphes.Config, gen GenConfig) *Generator {
 	return g
 }
 
-// Config returns the defaulted generator configuration.
-func (g *Generator) Config() GenConfig { return g.cfg }
-
 // seasonalPrice is the annual price level factor for calendar day d:
 // peak around mid-January (day 15), trough in July.
 func (g *Generator) seasonalPrice(day int) float64 {

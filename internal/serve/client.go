@@ -114,13 +114,6 @@ func (c *Client) Create(ctx context.Context, spec SessionSpec) (session.Status, 
 	return st, err
 }
 
-// List returns the live session IDs.
-func (c *Client) List(ctx context.Context) ([]string, error) {
-	var ids []string
-	err := c.do(ctx, http.MethodGet, "/v1/sessions", nil, &ids)
-	return ids, err
-}
-
 // Status fetches a session's progress summary.
 func (c *Client) Status(ctx context.Context, id string) (session.Status, error) {
 	var st session.Status
@@ -256,13 +249,6 @@ func (c *Client) PendingWork(ctx context.Context, id string) ([]session.PendingB
 	var pw []session.PendingBatch
 	err := c.do(ctx, http.MethodGet, "/v1/sessions/"+id+"/pending", nil, &pw)
 	return pw, err
-}
-
-// Snapshots lists the session's snapshot file names, oldest first.
-func (c *Client) Snapshots(ctx context.Context, id string) ([]string, error) {
-	var names []string
-	err := c.do(ctx, http.MethodGet, "/v1/sessions/"+id+"/snapshots", nil, &names)
-	return names, err
 }
 
 // Resume brings a persisted session back into the live registry.

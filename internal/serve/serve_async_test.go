@@ -382,7 +382,7 @@ func TestServerDoneEviction(t *testing.T) {
 	if got := driveOverHTTP(ctx, t, c, a); got == nil {
 		t.Fatal("gc-a did not finish")
 	}
-	ids, err := c.List(ctx)
+	ids, err := listSessions(ctx, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestServerDoneEviction(t *testing.T) {
 	if got := driveOverHTTP(ctx, t, c, b); got == nil {
 		t.Fatal("gc-b did not finish")
 	}
-	ids, err = c.List(ctx)
+	ids, err = listSessions(ctx, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestServerDoneEviction(t *testing.T) {
 	if err := c.Evict(ctx, "gc-b"); err != nil {
 		t.Fatal(err)
 	}
-	ids, err = c.List(ctx)
+	ids, err = listSessions(ctx, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestServerDoneEviction(t *testing.T) {
 			t.Fatalf("%s did not finish in memory", spec.ID)
 		}
 	}
-	ids, err = mc.List(ctx)
+	ids, err = listSessions(ctx, mc)
 	if err != nil {
 		t.Fatal(err)
 	}

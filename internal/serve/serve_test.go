@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
@@ -192,7 +193,7 @@ func TestServerConcurrentSessions(t *testing.T) {
 		assertMatchesReference(t, spec.ID, refs[i], got[i])
 	}
 
-	ids, err := c.List(ctx)
+	ids, err := listSessions(ctx, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestServerConcurrentSessions(t *testing.T) {
 	if !st.Done || st.Problem != "uphes" || len(st.Pending) != 0 {
 		t.Fatalf("uphes status %+v", st)
 	}
-	snaps, err := c.Snapshots(ctx, "uphes-run")
+	snaps, err := snapshotNames(ctx, c, "uphes-run")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,4 +383,19 @@ func TestServerCreateRefusesPersistedSpec(t *testing.T) {
 	if _, err := srv2.Resume(spec.ID); err != nil {
 		t.Fatalf("resume after refused create: %v", err)
 	}
+}
+
+// listSessions returns the live session IDs through GET /v1/sessions.
+func listSessions(ctx context.Context, c *Client) ([]string, error) {
+	var ids []string
+	err := c.do(ctx, http.MethodGet, "/v1/sessions", nil, &ids)
+	return ids, err
+}
+
+// snapshotNames lists a session's snapshot file names, oldest first,
+// through GET /v1/sessions/{id}/snapshots.
+func snapshotNames(ctx context.Context, c *Client, id string) ([]string, error) {
+	var names []string
+	err := c.do(ctx, http.MethodGet, "/v1/sessions/"+id+"/snapshots", nil, &names)
+	return names, err
 }

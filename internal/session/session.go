@@ -381,9 +381,6 @@ func Restore(cfg Config, frame []byte) (*Session, error) {
 	return s, nil
 }
 
-// ID returns the session identifier.
-func (s *Session) ID() string { return s.id }
-
 // Ask returns the next batch to evaluate. It forwards core.AskTell's
 // contract — ErrDone on completion, core.ErrNoBatchReady while the
 // initial design is outstanding — and snapshots the advanced state before
@@ -451,8 +448,8 @@ func (s *Session) notifyLocked() {
 // Tell ingests evaluated members, in any order and any grouping; a batch
 // is forwarded to the engine exactly when its last member arrives.
 // Completed engine transitions are snapshotted. On a validation error
-// (unknown batch, out-of-range member, duplicate member) the session
-// state is unchanged.
+// (unknown batch, out-of-range member, duplicate member, negative cost,
+// non-finite value) the session state is unchanged.
 func (s *Session) Tell(ctx context.Context, results []EvalResult) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -475,6 +472,9 @@ func (s *Session) Tell(ctx context.Context, results []EvalResult) error {
 		}
 		if r.CostNS < 0 {
 			return fmt.Errorf("session: negative cost for batch %d member %d", r.BatchID, r.Member)
+		}
+		if math.IsNaN(r.Y) || math.IsInf(r.Y, 0) {
+			return fmt.Errorf("session: non-finite value %v for batch %d member %d", r.Y, r.BatchID, r.Member)
 		}
 		if staged[r.BatchID] == nil {
 			staged[r.BatchID] = map[int]bool{}
@@ -590,41 +590,6 @@ func (s *Session) Metrics() Metrics {
 	return m
 }
 
-// Member is one in-flight point flattened out of the batch ledger, with a
-// deterministic ID — "<batchID>:<index>", stable across checkpoint and
-// resume because batch IDs are engine-assigned sequence numbers.
-type Member struct {
-	ID       string    `json:"id"`
-	BatchID  int       `json:"batch_id"`
-	Index    int       `json:"index"`
-	Cycle    int       `json:"cycle"`
-	Point    []float64 `json:"point"`
-	Received bool      `json:"received"`
-}
-
-// InFlight returns the flat member-level view of the in-flight set, in
-// ask order — the rolling work queue an asynchronous worker pool divides
-// among itself.
-func (s *Session) InFlight() []Member {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Member
-	for _, id := range s.order {
-		p := s.partials[id]
-		for m, x := range p.batch.Points {
-			out = append(out, Member{
-				ID:       fmt.Sprintf("%d:%d", id, m),
-				BatchID:  id,
-				Index:    m,
-				Cycle:    p.batch.Cycle,
-				Point:    append([]float64(nil), x...),
-				Received: p.got[m],
-			})
-		}
-	}
-	return out
-}
-
 // PendingBatch is an in-flight batch together with the member-level
 // receipt mask — everything a worker pool needs to pick up (or, after a
 // crash that lost results in flight, re-evaluate) outstanding work.
@@ -650,13 +615,6 @@ func (s *Session) PendingWork() []PendingBatch {
 
 // Persistent reports whether the session writes snapshots.
 func (s *Session) Persistent() bool { return s.store != nil }
-
-// Done reports whether the run is complete.
-func (s *Session) Done() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.at.Done()
-}
 
 // Result returns a deep copy of the run result accumulated so far. The
 // copy shares no memory with the session's live state, so callers may

@@ -48,7 +48,7 @@ func driveAsyncSession(t *testing.T, e *core.Engine, s *Session, stopAfter int) 
 		}
 		pws := s.PendingWork()
 		if len(pws) == 0 {
-			if !s.Done() {
+			if !s.Status().Done {
 				t.Fatal("no batch ready and nothing pending")
 			}
 			return s.Result(), true
@@ -251,7 +251,7 @@ func TestSessionAsyncWorkerPoolDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Done() {
+	if !s.Status().Done {
 		t.Fatal("worker pool exited with the run incomplete")
 	}
 	res := s.Result()
@@ -305,8 +305,8 @@ func TestSessionMetricsPersist(t *testing.T) {
 	}
 }
 
-// TestSessionInFlightMembers: the flat member view carries deterministic
-// IDs, ask order, and per-member receipt state.
+// TestSessionInFlightMembers: after a partial tell the pending ledger
+// still lists the batch, with its points and per-member receipt state.
 func TestSessionInFlightMembers(t *testing.T) {
 	e := testEngine(t, "KB-q-EGO") // synchronous: 2-point batches
 	s, err := New(Config{ID: "members", Engine: e})
@@ -321,26 +321,14 @@ func TestSessionInFlightMembers(t *testing.T) {
 	if err := s.Tell(ctx, evalMembers(e, b)[:1]); err != nil {
 		t.Fatal(err)
 	}
-	members := s.InFlight()
-	if len(members) != len(b.Points) {
-		t.Fatalf("in-flight members = %d, want %d", len(members), len(b.Points))
+	pws := s.PendingWork()
+	if len(pws) != 1 || pws[0].Batch.ID != b.ID {
+		t.Fatalf("pending work = %+v, want batch %d alone", pws, b.ID)
 	}
-	for i, m := range members {
-		if m.BatchID != b.ID || m.Index != i {
-			t.Fatalf("member %d = %+v", i, m)
-		}
-		if m.ID == "" {
-			t.Fatalf("member %d has empty id", i)
-		}
-		if !reflect.DeepEqual(m.Point, b.Points[i]) {
-			t.Fatalf("member %d point %v != %v", i, m.Point, b.Points[i])
-		}
+	if !reflect.DeepEqual(pws[0].Batch.Points, b.Points) {
+		t.Fatalf("pending points %v != %v", pws[0].Batch.Points, b.Points)
 	}
-	if !members[0].Received || members[1].Received {
-		t.Fatalf("receipt mask wrong: %+v", members)
-	}
-	// IDs are a pure function of batch and index.
-	if members[0].ID == members[1].ID {
-		t.Fatal("member ids collide")
+	if got := pws[0].Received; len(got) != len(b.Points) || !got[0] || got[1] {
+		t.Fatalf("receipt mask wrong: %v", got)
 	}
 }

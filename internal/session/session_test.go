@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -272,6 +273,8 @@ func TestSessionTellValidation(t *testing.T) {
 		{"negative member", []EvalResult{{BatchID: b.ID, Member: -1}}},
 		{"negative cost", []EvalResult{{BatchID: b.ID, Member: 0, CostNS: -1}}},
 		{"duplicate in group", []EvalResult{{BatchID: b.ID, Member: 0}, {BatchID: b.ID, Member: 0}}},
+		{"NaN value", []EvalResult{{BatchID: b.ID, Member: 1, Y: 2}, {BatchID: b.ID, Member: 0, Y: math.NaN()}}},
+		{"infinite value", []EvalResult{{BatchID: b.ID, Member: 1, Y: 2}, {BatchID: b.ID, Member: 0, Y: math.Inf(-1)}}},
 	}
 	for _, tc := range bad {
 		if err := s.Tell(ctx, tc.res); err == nil {
@@ -285,6 +288,14 @@ func TestSessionTellValidation(t *testing.T) {
 	}
 	if err := s.Tell(ctx, []EvalResult{{BatchID: b.ID, Member: 0, Y: 1}}); err == nil {
 		t.Error("duplicate across calls accepted")
+	}
+	// The rejected groups staged member 1 alongside a non-finite member 0;
+	// all-or-nothing means it is still tellable too.
+	if err := s.Tell(ctx, []EvalResult{{BatchID: b.ID, Member: 1, Y: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Status(); math.IsNaN(st.BestY) {
+		t.Fatalf("BestY = %v after rejected non-finite tells", st.BestY)
 	}
 }
 

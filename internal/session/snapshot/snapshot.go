@@ -238,7 +238,7 @@ func splitPayload(payload []byte) (shell []byte, sections [][]float64, err error
 
 // Store persists a sequence of snapshots in one directory.
 type Store struct {
-	// Dir is the snapshot directory; Save creates it on first use.
+	// Dir is the snapshot directory; SaveEncoded creates it on first use.
 	Dir string
 	// Keep bounds how many snapshots are retained (default 5). Older
 	// files are deleted after each successful save.
@@ -254,22 +254,13 @@ func (s *Store) keep() int {
 	return s.Keep
 }
 
-// Save writes v as the next snapshot in sequence and prunes old files.
-// The write is atomic and durable: the frame lands under a temporary name,
-// is fsynced, renamed into place, and the directory entry is synced — a
-// crash at any point leaves either the complete new snapshot or none.
-func (s *Store) Save(v any) (path string, err error) {
-	frame, err := Encode(v)
-	if err != nil {
-		return "", err
-	}
-	return s.SaveEncoded(frame)
-}
-
 // SaveEncoded writes an already-Encoded frame as the next snapshot in
-// sequence, with Save's atomicity and pruning. Callers that need the
-// frame size — the session's snapshot-bytes accounting — encode once and
-// pass the frame here instead of paying a second encode.
+// sequence and prunes old files. The write is atomic and durable: the
+// frame lands under a temporary name, is fsynced, renamed into place, and
+// the directory entry is synced — a crash at any point leaves either the
+// complete new snapshot or none. Callers encode the frame themselves, so
+// the session's snapshot-bytes accounting reads its size without a second
+// encode.
 func (s *Store) SaveEncoded(frame []byte) (path string, err error) {
 	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
 		return "", fmt.Errorf("snapshot: %w", err)
@@ -389,7 +380,7 @@ func (s *Store) sequence() ([]uint64, error) {
 
 // sweepTemp removes crash leftovers: a temp file whose rename never
 // happened is garbage, and left in place would accumulate forever. Best
-// effort — Save proceeds regardless.
+// effort — SaveEncoded proceeds regardless.
 func (s *Store) sweepTemp() {
 	entries, err := os.ReadDir(s.Dir)
 	if err != nil {

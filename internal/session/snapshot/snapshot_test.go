@@ -268,7 +268,7 @@ func TestStoreSaveLoadLatest(t *testing.T) {
 	}
 
 	for i := 1; i <= 3; i++ {
-		if _, err := st.Save(&payload{Name: "run", Seq: i}); err != nil {
+		if _, err := save(st, &payload{Name: "run", Seq: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -288,7 +288,7 @@ func TestStoreSaveLoadLatest(t *testing.T) {
 func TestStoreRetention(t *testing.T) {
 	st := &Store{Dir: t.TempDir(), Keep: 3}
 	for i := 1; i <= 7; i++ {
-		if _, err := st.Save(&payload{Seq: i}); err != nil {
+		if _, err := save(st, &payload{Seq: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,7 +313,7 @@ func TestStoreRetention(t *testing.T) {
 func TestStoreFallsBackPastCorruptFiles(t *testing.T) {
 	st := &Store{Dir: t.TempDir()}
 	for i := 1; i <= 3; i++ {
-		if _, err := st.Save(&payload{Seq: i}); err != nil {
+		if _, err := save(st, &payload{Seq: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -365,7 +365,7 @@ func TestStoreFallsBackPastCorruptFiles(t *testing.T) {
 func TestLoadLatestFailsLoudOnUnsupportedVersion(t *testing.T) {
 	st := &Store{Dir: t.TempDir()}
 	for i := 1; i <= 2; i++ {
-		if _, err := st.Save(&payload{Seq: i}); err != nil {
+		if _, err := save(st, &payload{Seq: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -397,7 +397,7 @@ func TestLoadLatestFailsLoudOnUnsupportedVersion(t *testing.T) {
 // the next save's prune pass.
 func TestSaveEncodedPruneBestEffort(t *testing.T) {
 	st := &Store{Dir: t.TempDir(), Keep: 1}
-	if _, err := st.Save(&payload{Seq: 1}); err != nil {
+	if _, err := save(st, &payload{Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Replace the oldest snapshot with a non-empty directory of the same
@@ -410,7 +410,7 @@ func TestSaveEncodedPruneBestEffort(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(old, "pin"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	path, err := st.Save(&payload{Seq: 2})
+	path, err := save(st, &payload{Seq: 2})
 	if err != nil {
 		t.Fatalf("save failed after the frame landed: %v", err)
 	}
@@ -428,7 +428,7 @@ func TestStoreIgnoresForeignFiles(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(st.Dir, "notes.txt"), []byte("hi"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Save(&payload{Seq: 1}); err != nil {
+	if _, err := save(st, &payload{Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
 	paths, err := st.List()
@@ -465,7 +465,7 @@ func TestStoreNameParsingIsAnchored(t *testing.T) {
 
 	// With no real snapshot present, the next save must start at 1 — not
 	// at 8 past the temp file's embedded number — and sweep the leftover.
-	p, err := st.Save(&payload{Seq: 1})
+	p, err := save(st, &payload{Seq: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,4 +482,13 @@ func TestStoreNameParsingIsAnchored(t *testing.T) {
 	if got.Seq != 1 {
 		t.Fatalf("loaded %+v", got)
 	}
+}
+
+// save encodes v and writes it as the next snapshot in st.
+func save(st *Store, v any) (string, error) {
+	frame, err := Encode(v)
+	if err != nil {
+		return "", err
+	}
+	return st.SaveEncoded(frame)
 }

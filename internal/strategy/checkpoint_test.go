@@ -69,7 +69,7 @@ func runAskTellLoop(t *testing.T, e *core.Engine, at *core.AskTell, stopAfterTel
 // first cycle (fresh strategy state), k=5 after the second (evolved trust
 // region / partition / hyper model).
 func TestStrategyKillAndResume(t *testing.T) {
-	strategies := append(All(), NewTSRFF())
+	strategies := append(allStrategies(), NewTSRFF())
 	for _, s := range strategies {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {

@@ -39,7 +39,7 @@ func goldenEngine(s core.Strategy) *core.Engine {
 
 func TestPaperStrategyTracesGolden(t *testing.T) {
 	got := map[string][]float64{}
-	for _, s := range All() {
+	for _, s := range allStrategies() {
 		res, err := goldenEngine(s).Run(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)

@@ -59,19 +59,6 @@ func ByName(name string) (core.Strategy, error) {
 // of the asynchronous engine mode.
 var ExtendedNames = []string{"TS-RFF", "LP-EGO", "BNN-GA", "Portfolio"}
 
-// All returns fresh instances of the five strategies under comparison.
-func All() []core.Strategy {
-	out := make([]core.Strategy, len(Names))
-	for i, n := range Names {
-		s, err := ByName(n)
-		if err != nil {
-			panic(err) // unreachable: Names are known
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // AcquisitionFor reports the acquisition function a strategy uses at a
 // given batch size, reproducing the paper's Table 3.
 func AcquisitionFor(name string, q int) string {

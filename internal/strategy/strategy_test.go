@@ -63,7 +63,7 @@ func inBounds(t *testing.T, p *core.Problem, batch [][]float64, q int) {
 func TestAllStrategiesProposeValidBatches(t *testing.T) {
 	p := sphereProblem()
 	m, st := fitState(t, p, 16)
-	for _, s := range All() {
+	for _, s := range allStrategies() {
 		s.Reset()
 		for _, q := range []int{1, 2, 4} {
 			batch, err := s.Propose(context.Background(), m, st, q, rng.New(3, uint64(q)))
@@ -78,7 +78,7 @@ func TestAllStrategiesProposeValidBatches(t *testing.T) {
 func TestStrategiesProposeDistinctCandidates(t *testing.T) {
 	p := sphereProblem()
 	m, st := fitState(t, p, 16)
-	for _, s := range All() {
+	for _, s := range allStrategies() {
 		s.Reset()
 		batch, err := s.Propose(context.Background(), m, st, 4, rng.New(4, 4))
 		if err != nil {
@@ -289,8 +289,8 @@ func TestRegistry(t *testing.T) {
 	if _, err := ByName("nope"); err == nil {
 		t.Fatal("expected error for unknown strategy")
 	}
-	if len(All()) != 5 {
-		t.Fatalf("All() = %d strategies", len(All()))
+	if len(allStrategies()) != 5 {
+		t.Fatalf("allStrategies() = %d strategies", len(allStrategies()))
 	}
 }
 
@@ -318,7 +318,7 @@ func TestAcquisitionForTable3(t *testing.T) {
 // End-to-end smoke: each strategy actually optimizes the sphere through
 // the engine in a tiny budget.
 func TestStrategiesOptimizeSphereEndToEnd(t *testing.T) {
-	for _, s := range All() {
+	for _, s := range allStrategies() {
 		p := sphereProblem()
 		e := &core.Engine{
 			Problem:        p,
@@ -338,4 +338,18 @@ func TestStrategiesOptimizeSphereEndToEnd(t *testing.T) {
 			t.Fatalf("%s: final best %v too poor", s.Name(), res.BestY)
 		}
 	}
+}
+
+// allStrategies returns fresh instances of the five strategies under
+// comparison, in Names order.
+func allStrategies() []core.Strategy {
+	out := make([]core.Strategy, len(Names))
+	for i, n := range Names {
+		s, err := ByName(n)
+		if err != nil {
+			panic(err) // unreachable: Names are known
+		}
+		out[i] = s
+	}
+	return out
 }

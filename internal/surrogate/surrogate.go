@@ -38,9 +38,8 @@ type Surrogate interface {
 	// gradient buffers (see DESIGN.md §9).
 	PredictWithGrad(x []float64, dMean, dSD []float64) (mean, sd float64)
 	// PredictJoint returns the joint posterior over a batch of points,
-	// as needed by Monte-Carlo multi-point criteria (q-EI, q-UCB) and
-	// discrete Thompson sampling. An empty batch returns an error
-	// wrapping ErrEmptyBatch.
+	// as needed by the Monte-Carlo multi-point criterion q-EI. An empty
+	// batch returns an error wrapping ErrEmptyBatch.
 	PredictJoint(xs [][]float64) (*JointPrediction, error)
 	// Fantasize conditions on a hypothetical observation (x, y) without
 	// re-estimating hyperparameters — the Kriging-Believer partial update.

@@ -16,16 +16,6 @@ func testDayInput(cfg *Config) *DayInput {
 	return &in
 }
 
-func TestPlantCloneIndependent(t *testing.T) {
-	cfg := DefaultConfig()
-	p := NewPlant(&cfg.Plant)
-	c := p.Clone()
-	c.SetState(PlantState{UpperV: 0, LowerV: 0})
-	if p.State() == c.State() {
-		t.Fatal("clone shares state with original")
-	}
-}
-
 // TestSetStateBoundaryInclusive pins the day-boundary contract: a state
 // exactly at a reservoir bound round-trips unchanged — the clamp is
 // inclusive, so carrying a full (or empty) reservoir across a day

@@ -68,13 +68,6 @@ func DefaultState(cfg *PlantConfig) PlantState {
 	}
 }
 
-// Clone returns an independent copy of the plant sharing only the
-// immutable configuration.
-func (p *Plant) Clone() *Plant {
-	c := *p
-	return &c
-}
-
 // State returns the current reservoir volumes.
 func (p *Plant) State() PlantState {
 	return PlantState{UpperV: p.upperV, LowerV: p.lowerV}

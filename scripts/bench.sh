@@ -7,8 +7,8 @@
 #
 #   hotpath  — the steady-state prediction/acquisition benchmarks whose
 #              zero-allocation budgets DESIGN.md §9 pins -> BENCH_hotpath.json
-#   linalg   — the large-n linear-algebra suite (blocked MulInto, Extend,
-#              batched k★ fills, n=4096 prediction) -> BENCH_linalg.json
+#   linalg   — the large-n linear-algebra suite (ExtendCols, batched k★
+#              fills, n=4096 prediction) -> BENCH_linalg.json
 #   snapshot — the session checkpoint codec at n=1024 recorded cycles
 #              (encode/decode ns and frame bytes) -> BENCH_snapshot.json
 #   fit      — the per-iteration LML objective cost (parallel vs forced-
@@ -29,7 +29,7 @@
 # Environment:
 #   BENCHTIME          hotpath -benchtime value (default 2s; use 100x in gates)
 #   BENCHTIME_LINALG   linalg -benchtime value (default 2s; the gate uses 1x
-#                      because the 1024³ matmuls run ~0.5 s per iteration)
+#                      because the n=4096 predictions are slow per iteration)
 #   BENCHTIME_SNAPSHOT snapshot -benchtime value (default 2s; gates use 1x)
 #   BENCHTIME_FIT      fit -benchtime value (default 2s; the gate uses 1x
 #                      because one LML evaluation at n=1024 runs ~0.5 s)
@@ -48,9 +48,6 @@
 #   - alloc budgets: the zero-allocation contract of DESIGN.md §9. A
 #     regression here means a pooled workspace or destination-passing
 #     path started allocating again.
-#   - linalg floor: BenchmarkMulInto1024 must not exceed 1.10× the naive
-#     ikj reference (BenchmarkMulIntoNaive1024), so the blocked dispatch
-#     can never regress below the loop it replaced.
 #   - async floor: the asynchronous protocol must complete at least as
 #     many evaluations per virtual hour as the batch-synchronous one on
 #     the heterogeneous-latency workload — the paper's motivating claim;
@@ -105,7 +102,7 @@ go test -run '^$' \
     -bench 'Predict256$|PredictWithGrad256$|PredictJointQ8$|Fantasize256$|EIEval|EIGrad|QEIBatch' \
     -benchmem -benchtime "$BENCHTIME" ./internal/gp/ ./internal/acq/ >"$raw"
 
-go test -run '^$' -bench 'MulInto|Extend1024$|ExtendCols1024$|EvalRowFill' \
+go test -run '^$' -bench 'ExtendCols1024$|EvalRowFill' \
     -benchmem -benchtime "$BENCHTIME_LINALG" ./internal/mat/ ./internal/kernel/ >"$rawlin"
 go test -run '^$' -bench 'LargeN' \
     -benchmem -benchtime "$BENCHTIME_LINALG" ./internal/gp/ >>"$rawlin"
@@ -188,21 +185,6 @@ if [ "$CHECK" = "1" ]; then
             fail=1
         fi
     done
-
-    # Linalg floor: the blocked dispatch must not run slower than the
-    # naive loop it replaced (allow 10% measurement noise).
-    getns() {
-        awk -v n="$1" '$1 ~ "^"n"(-[0-9]+)?$" { for (i=2;i<=NF;i++) if ($(i+1)=="ns/op") print $i }' "$rawlin"
-    }
-    naive=$(getns BenchmarkMulIntoNaive1024)
-    tiled=$(getns BenchmarkMulInto1024)
-    if [ -z "$naive" ] || [ -z "$tiled" ]; then
-        echo "bench.sh: FAIL: MulInto floor benchmarks did not run" >&2
-        fail=1
-    elif awk -v t="$tiled" -v n="$naive" 'BEGIN { exit !(t > 1.10 * n) }'; then
-        echo "bench.sh: FAIL: MulInto1024 ($tiled ns/op) regressed past 1.10x naive ($naive ns/op)" >&2
-        fail=1
-    fi
 
     # Snapshot codec evidence: both benchmarks must have run and reported
     # the frame size, so BENCH_snapshot.json can never silently go stale.
@@ -335,5 +317,5 @@ if [ "$CHECK" = "1" ]; then
     if [ "$fail" = "1" ]; then
         exit 1
     fi
-    echo "bench.sh: alloc budgets, linalg floor, snapshot, fit, async-throughput and fleet evidence hold"
+    echo "bench.sh: alloc budgets, snapshot, fit, async-throughput and fleet evidence hold"
 fi

@@ -3,21 +3,38 @@
 #
 # Runs, in order: formatting, vet, build, the project's own invariant
 # linter (cmd/pbolint), the full test suite under the race detector, a
-# named re-run of the bit-identity property tests for the parallel and
-# blocked linear-algebra paths (still under -race), a named re-run of
-# the kill-and-resume determinism tests for the session/serving stack
-# (still under -race), the hot-path
-# allocation-regression tests without the race detector (alloc counts
-# are only meaningful uninstrumented), a single-iteration pass over
-# every benchmark so bench code cannot rot uncompiled, and one fast
-# bench.sh pass that enforces the zero-allocation budgets of DESIGN.md
-# §9 plus the blocked-MulInto performance floor. Any failure stops the
-# gate with a nonzero exit.
+# named re-run of the bit-identity property tests for the parallel
+# linear-algebra paths (still under -race), a named re-run of the
+# kill-and-resume determinism tests for the session/serving stack (still
+# under -race), the hot-path allocation-regression tests without the
+# race detector (alloc counts are only meaningful uninstrumented), a
+# single-iteration pass over every benchmark so bench code cannot rot
+# uncompiled, and one fast bench.sh pass that enforces the
+# zero-allocation budgets of DESIGN.md §9. Every named stage first checks
+# that each name in its -run list still matches a test, so a renamed or
+# deleted test fails the gate instead of silently dropping out of it. Any
+# failure stops the gate with a nonzero exit.
 #
 # Usage: ./scripts/check.sh
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# require_tests LIST PKG...: fail unless every |-separated name in the -run
+# regexp LIST matches at least one test in the packages. `go test -run`
+# reports "ok ... [no tests to run]" for a name that matches nothing, so
+# without this a stale name would drop out of a named stage unnoticed.
+require_tests() {
+    names=$1
+    shift
+    listed=$(go test -list '.*' "$@" | grep -E '^(Test|Benchmark|Fuzz|Example)') || true
+    for name in $(echo "$names" | tr '|' ' '); do
+        if ! echo "$listed" | grep -Eq -- "$name"; then
+            echo "check.sh: -run name $name matches no test in $*" >&2
+            exit 1
+        fi
+    done
+}
 
 echo "== gofmt"
 unformatted=$(gofmt -l .)
@@ -58,23 +75,23 @@ go test -race ./...
 
 echo "== bit-identity property tests under -race"
 # Redundant with the full -race sweep above, but named explicitly so the
-# parallel/blocked linear-algebra contracts cannot be silently dropped
-# from the gate: the blocked MulInto vs ikj reference, the parallel k★
-# fill vs serial, the PredictJoint parallel branch vs serial, the Extend
-# fast-path regression, and the unbounded-pool goroutine clamp.
-go test -race \
-    -run 'TestMulBlocked|TestMulIntoDispatch|TestAnyZero|TestEvalRowAuto|TestPredictJointParallelBitIdentity|TestExtendFreshFactorSkipsTransposeBuild|TestExtendColsMatchesExtend|TestExtendPathsAgree|TestEvalBatchUnboundedClampsGoroutines' \
-    -count 1 ./internal/mat/ ./internal/kernel/ ./internal/gp/ ./internal/parallel/
+# parallel linear-algebra contracts cannot be silently dropped from the
+# gate: the parallel k★ fill vs serial, the PredictJoint parallel branch
+# vs serial, the ExtendCols fast-path regression and path agreement, and
+# the unbounded-pool goroutine clamp.
+run='TestEvalRowAuto|TestPredictJointParallelBitIdentity|TestExtendFreshFactorSkipsTransposeBuild|TestExtendColsMatchesExtend|TestExtendPathsAgree|TestEvalBatchUnboundedClampsGoroutines'
+require_tests "$run" ./internal/mat/ ./internal/kernel/ ./internal/gp/ ./internal/parallel/
+go test -race -run "$run" -count 1 ./internal/mat/ ./internal/kernel/ ./internal/gp/ ./internal/parallel/
 
 echo "== fit-path bit-identity property tests under -race"
 # The fit-path scaling contracts (DESIGN.md §9): packed factorize/solve/
-# inverse/Extend vs the dense reference DAG, prefix inheritance along
+# inverse/ExtendCols vs the dense reference DAG, prefix inheritance along
 # fantasy chains, in-place refactorization, the banded parallel Gram /
 # gradient / inverse fills vs serial at GOMAXPROCS 1 and 8, and pooled
 # fit-workspace reuse.
-go test -race \
-    -run 'TestPackedFactorizeMatchesDense|TestPackedSolvesMatchDense|TestPackedSolveMatAndInverseMatchDense|TestPackedExtendMatchesDenseReference|TestInheritedPrefixSolveBitIdentity|TestInverseIntoParallelBitIdentity|TestRefactorizeMatchesNew|TestLRow|TestGramIntoMatchesPerPair|TestGramIntoParallelBitIdentity|TestLMLGradBandedBitIdentity|TestFitWorkspaceReuseBitIdentity|TestFantasyChainSharesPrefix' \
-    -count 1 ./internal/mat/ ./internal/gp/
+run='TestPackedFactorizeMatchesDense|TestPackedSolvesMatchDense|TestPackedSolveMatAndInverseMatchDense|TestPackedExtendMatchesDenseReference|TestInheritedPrefixSolveBitIdentity|TestInverseIntoParallelBitIdentity|TestRefactorizeMatchesNew|TestGramIntoMatchesPerPair|TestGramIntoParallelBitIdentity|TestLMLGradBandedBitIdentity|TestFitWorkspaceReuseBitIdentity|TestFantasyChainSharesPrefix'
+require_tests "$run" ./internal/mat/ ./internal/gp/
+go test -race -run "$run" -count 1 ./internal/mat/ ./internal/gp/
 
 echo "== kill-and-resume determinism under -race"
 # Named explicitly so the crash-safe serving contracts cannot be silently
@@ -93,17 +110,18 @@ echo "== kill-and-resume determinism under -race"
 # its two contracts here too: the rolling-horizon golden trace (same seed
 # → bit-identical year schedule and revenue) and the fleet driver's
 # mid-day kill-and-resume against a live in-process pboserver.
-go test -race \
-    -run 'TestAskTellCheckpointResume|TestStrategyKillAndResume|TestSessionKillAndResume|TestSessionResumeSurvivesCorruptNewestSnapshot|TestServerConcurrentSessions|TestServerKillAndResume|TestServerSIGTERMDrainAndResume|TestAsyncKillAndResume|TestPortfolioAsyncKillAndResume|TestSessionAsyncKillAndResume|TestSessionAsyncWorkerPoolDrains|TestServerAsyncKillAndResume|TestServerMigrateBitIdentity|TestServerExportImportLifecycle|TestServerMigrateTwoProcesses|TestGoldenFramesCrossVersionDecode|TestResumeFailsLoudOnFutureVersion|TestScenarioGoldenTraceDeterminism|TestFleetKillAndResume' \
-    -count 1 ./internal/core/ ./internal/strategy/ ./internal/session/ ./internal/serve/ ./internal/scenario/ ./cmd/pboserver/
+run='TestAskTellCheckpointResume|TestStrategyKillAndResume|TestSessionKillAndResume|TestSessionResumeSurvivesCorruptNewestSnapshot|TestServerConcurrentSessions|TestServerKillAndResume|TestServerSIGTERMDrainAndResume|TestAsyncKillAndResume|TestPortfolioAsyncKillAndResume|TestSessionAsyncKillAndResume|TestSessionAsyncWorkerPoolDrains|TestServerAsyncKillAndResume|TestServerMigrateBitIdentity|TestServerExportImportLifecycle|TestServerMigrateTwoProcesses|TestGoldenFramesCrossVersionDecode|TestResumeFailsLoudOnFutureVersion|TestScenarioGoldenTraceDeterminism|TestFleetKillAndResume'
+require_tests "$run" ./internal/core/ ./internal/strategy/ ./internal/session/ ./internal/serve/ ./internal/scenario/ ./cmd/pboserver/
+go test -race -run "$run" -count 1 ./internal/core/ ./internal/strategy/ ./internal/session/ ./internal/serve/ ./internal/scenario/ ./cmd/pboserver/
 
 echo "== alloc-regression tests (no race detector)"
+require_tests 'Alloc' ./internal/mat/ ./internal/kernel/ ./internal/gp/ ./internal/acq/ ./internal/scenario/
 go test -run 'Alloc' ./internal/mat/ ./internal/kernel/ ./internal/gp/ ./internal/acq/ ./internal/scenario/
 
 echo "== benchmarks compile and run once"
 go test -run '^$' -bench . -benchtime 1x ./...
 
-echo "== bench.sh alloc budgets, linalg floor, snapshot, fit, async and scenario evidence"
+echo "== bench.sh alloc budgets, linalg, snapshot, fit, async and scenario evidence"
 benchjson=$(mktemp)
 benchlinjson=$(mktemp)
 benchsnapjson=$(mktemp)
